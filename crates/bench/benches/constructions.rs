@@ -2,7 +2,7 @@
 //! computing their costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qudit_circuit::{analyze, CostWeights};
+use qudit_circuit::ResourceReport;
 use qutrit_toffoli::baselines::{he_log_depth, qubit_no_ancilla, qubit_one_dirty_ancilla};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 use qutrit_toffoli::incrementer::incrementer;
@@ -13,25 +13,25 @@ fn bench_generalized_toffoli_constructions(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("qutrit_tree", n), &n, |b, &n| {
             b.iter(|| {
                 let circuit = n_controlled_x(n).unwrap();
-                analyze(&circuit, CostWeights::di_wei())
+                ResourceReport::measure(&circuit).physical
             })
         });
         group.bench_with_input(BenchmarkId::new("qubit_ancilla", n), &n, |b, &n| {
             b.iter(|| {
                 let circuit = qubit_one_dirty_ancilla(n, 2).unwrap();
-                analyze(&circuit, CostWeights::di_wei())
+                ResourceReport::measure(&circuit).physical
             })
         });
         group.bench_with_input(BenchmarkId::new("qubit_no_ancilla", n), &n, |b, &n| {
             b.iter(|| {
                 let circuit = qubit_no_ancilla(n, 2).unwrap();
-                analyze(&circuit, CostWeights::di_wei())
+                ResourceReport::measure(&circuit).physical
             })
         });
         group.bench_with_input(BenchmarkId::new("he_log_depth", n), &n, |b, &n| {
             b.iter(|| {
                 let circuit = he_log_depth(n, 2).unwrap();
-                analyze(&circuit, CostWeights::di_wei())
+                ResourceReport::measure(&circuit).physical
             })
         });
     }
@@ -44,7 +44,7 @@ fn bench_incrementer_construction(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 let circuit = incrementer(n).unwrap();
-                analyze(&circuit, CostWeights::di_wei())
+                ResourceReport::measure(&circuit).physical
             })
         });
     }

@@ -168,7 +168,7 @@ pub fn n_controlled_u(n_controls: usize, target_gate: Gate) -> CircuitResult<Cir
 mod tests {
     use super::*;
     use qudit_circuit::classical::{all_binary_basis_states, simulate_classical};
-    use qudit_circuit::{analyze, CostWeights, Schedule};
+    use qudit_circuit::{ResourceReport, Schedule};
 
     fn expected_n_controlled_x(input: &[usize]) -> Vec<usize> {
         let n = input.len() - 1;
@@ -239,7 +239,7 @@ mod tests {
     fn gate_count_is_linear_and_about_6n_two_qutrit_gates() {
         for n in [16usize, 32, 64, 128] {
             let c = n_controlled_x(n).unwrap();
-            let costs = analyze(&c, CostWeights::di_wei());
+            let costs = ResourceReport::measure(&c).physical;
             let two_q = costs.two_qudit_gates as f64;
             // Compute+uncompute have ~n/2 three-qutrit gates each, so with
             // the 6× expansion we expect ≈ 6·n two-qudit gates.

@@ -464,7 +464,11 @@ impl Executor {
                                 if let Some(map) = &unembed {
                                     permute_density(&mut rho, map, spec.circuit().dim());
                                 }
-                                OutputState::from_sim_output(qudit_noise::SimOutput::Mixed(rho))
+                                OutputState::Populations {
+                                    dim: rho.dim(),
+                                    width: rho.num_qudits(),
+                                    probabilities: rho.diagonal(),
+                                }
                             })
                             .collect()
                     }

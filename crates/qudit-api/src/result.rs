@@ -3,7 +3,7 @@
 use crate::error::{ApiError, ApiResult};
 use qudit_circuit::ResourceReport;
 use qudit_core::StateVector;
-use qudit_noise::{BackendKind, FidelityEstimate, SimOutput};
+use qudit_noise::{BackendKind, FidelityEstimate};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// The result of running one [`JobSpec`](crate::JobSpec): which backend
@@ -107,18 +107,6 @@ pub enum OutputState {
 }
 
 impl OutputState {
-    /// Converts a backend output, keeping the pure state when there is one.
-    pub(crate) fn from_sim_output(out: SimOutput) -> OutputState {
-        match out {
-            SimOutput::Pure(psi) => OutputState::Pure(psi),
-            SimOutput::Mixed(rho) => OutputState::Populations {
-                dim: rho.dim(),
-                width: rho.num_qudits(),
-                probabilities: rho.diagonal(),
-            },
-        }
-    }
-
     /// The probability of measuring the basis state with the given digits.
     ///
     /// # Errors

@@ -5,8 +5,10 @@
 //! counts, in particular the number of two-qudit gates (Figure 10). The
 //! paper's tree construction is expressed in three-qutrit gates which are
 //! each implemented as 6 two-qutrit + 7 single-qutrit physical gates; the
-//! [`CostWeights`] type captures that expansion so costs can be reported at
-//! physical-gate granularity.
+//! crate-private `CostWeights` captures that expansion so costs can be
+//! reported at physical-gate granularity. The one public producer of these
+//! numbers is [`ResourceReport`](crate::ResourceReport), whose `logical`
+//! and `physical` columns are [`CircuitCosts`] computed here.
 
 use crate::circuit::Circuit;
 use crate::schedule::Schedule;
@@ -14,13 +16,13 @@ use crate::schedule::Schedule;
 /// How to expand operations of each arity into physical one- and two-qudit
 /// gates when accounting costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostWeights {
+pub(crate) struct CostWeights {
     /// Physical two-qudit gates charged per three-qudit operation.
-    pub two_qudit_per_three_qudit_op: usize,
+    two_qudit_per_three_qudit_op: usize,
     /// Physical single-qudit gates charged per three-qudit operation.
-    pub one_qudit_per_three_qudit_op: usize,
+    one_qudit_per_three_qudit_op: usize,
     /// Depth (in physical moments) charged per three-qudit operation.
-    pub depth_per_three_qudit_op: usize,
+    depth_per_three_qudit_op: usize,
 }
 
 impl CostWeights {
@@ -28,7 +30,7 @@ impl CostWeights {
     /// 6 two-qutrit and 7 single-qutrit gates (Di & Wei \[15\]); we charge the
     /// decomposition a depth of 6 two-qudit layers (the single-qudit gates
     /// interleave with them).
-    pub fn di_wei() -> Self {
+    pub(crate) fn di_wei() -> Self {
         CostWeights {
             two_qudit_per_three_qudit_op: 6,
             one_qudit_per_three_qudit_op: 7,
@@ -38,18 +40,12 @@ impl CostWeights {
 
     /// No expansion: three-qudit operations are counted as single gates of
     /// depth 1 (useful for reasoning about the logical circuit itself).
-    pub fn logical() -> Self {
+    pub(crate) fn logical() -> Self {
         CostWeights {
             two_qudit_per_three_qudit_op: 1,
             one_qudit_per_three_qudit_op: 0,
             depth_per_three_qudit_op: 1,
         }
-    }
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights::di_wei()
     }
 }
 
@@ -75,7 +71,7 @@ pub struct CircuitCosts {
 }
 
 /// Computes the costs of a circuit under the given expansion weights.
-pub fn analyze(circuit: &Circuit, weights: CostWeights) -> CircuitCosts {
+pub(crate) fn analyze(circuit: &Circuit, weights: CostWeights) -> CircuitCosts {
     let schedule = Schedule::asap(circuit);
     let logical_depth = schedule.depth();
 
@@ -121,11 +117,6 @@ pub fn analyze(circuit: &Circuit, weights: CostWeights) -> CircuitCosts {
     }
 }
 
-/// Computes costs with the paper's Di & Wei expansion (the default).
-pub fn analyze_default(circuit: &Circuit) -> CircuitCosts {
-    analyze(circuit, CostWeights::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +147,7 @@ mod tests {
     #[test]
     fn di_wei_weights_expand_three_qutrit_ops() {
         let c = three_qutrit_op_circuit();
-        let costs = analyze_default(&c);
+        let costs = analyze(&c, CostWeights::di_wei());
         assert_eq!(costs.two_qudit_gates, 6);
         assert_eq!(costs.one_qudit_gates, 7);
         assert_eq!(costs.physical_depth, 6);
@@ -168,7 +159,7 @@ mod tests {
         c.push_gate(Gate::x(3), &[0]).unwrap();
         c.push_controlled(Gate::x(3), &[Control::on_one(1)], &[2])
             .unwrap();
-        let costs = analyze_default(&c);
+        let costs = analyze(&c, CostWeights::di_wei());
         assert_eq!(costs.total_ops, 3);
         assert_eq!(costs.one_qudit_gates, 7 + 1);
         assert_eq!(costs.two_qudit_gates, 6 + 1);
@@ -181,14 +172,9 @@ mod tests {
     #[test]
     fn empty_circuit_has_zero_costs() {
         let c = Circuit::new(3, 4);
-        let costs = analyze_default(&c);
+        let costs = analyze(&c, CostWeights::di_wei());
         assert_eq!(costs.total_ops, 0);
         assert_eq!(costs.physical_depth, 0);
         assert_eq!(costs.two_qudit_gates, 0);
-    }
-
-    #[test]
-    fn default_weights_are_di_wei() {
-        assert_eq!(CostWeights::default(), CostWeights::di_wei());
     }
 }

@@ -42,7 +42,7 @@ mod serde_impls;
 pub mod topology;
 
 pub use circuit::Circuit;
-pub use cost::{analyze, analyze_default, CircuitCosts, CostWeights};
+pub use cost::CircuitCosts;
 pub use decompose::decompose_operation;
 pub use error::{CircuitError, CircuitResult};
 pub use gate::Gate;

@@ -770,10 +770,9 @@ pub struct RoutedCosts {
 /// ## Inferred vs measured physical costs (lowering at high arity)
 ///
 /// [`ResourceReport::measure`] *infers* the physical column from the flat
-/// Di & Wei per-operation weights ([`CostWeights::di_wei`]): every ≥3-qudit
-/// operation is charged the paper's fixed 6 two-qudit / 7 single-qudit
-/// constants regardless of arity. That matches the actual lowering only for
-/// arity 3. At arity ≥ 4 the decomposition recurses (a k-controlled gate
+/// Di & Wei per-operation weights: every ≥3-qudit operation is charged the
+/// paper's fixed 6 two-qudit / 7 single-qudit constants regardless of
+/// arity. That matches the actual lowering only for arity 3. At arity ≥ 4 the decomposition recurses (a k-controlled gate
 /// lowers through (k−1)-controlled pieces), so the faithful physical
 /// numbers exceed the flat constants — at k = 4 the recursion emits 14
 /// two-qudit gates where the flat weights charge 6.
@@ -795,8 +794,8 @@ pub struct ResourceReport {
 
 impl ResourceReport {
     /// Measures a circuit. The physical column is *inferred* from the flat
-    /// Di & Wei cost weights ([`CostWeights::di_wei`]), which understate
-    /// the recursive lowering of arity-≥4 operations; see
+    /// Di & Wei per-operation cost weights, which understate the recursive
+    /// lowering of arity-≥4 operations; see
     /// [`ResourceReport::measure_physical`] for the measured (faithful)
     /// counterpart.
     pub fn measure(circuit: &Circuit) -> Self {

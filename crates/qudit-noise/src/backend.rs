@@ -1,6 +1,6 @@
-//! The simulation-backend abstraction.
+//! Backend selection and the trajectory-vs-exact comparison.
 //!
-//! Two engines can answer the same questions about a circuit:
+//! Two engines answer the same fidelity question about a noisy circuit:
 //!
 //! * the **trajectory** backend — state-vector evolution, noise sampled as
 //!   quantum trajectories (Algorithm 1). Scales to large registers; its
@@ -9,231 +9,19 @@
 //!   applied as superoperators. Exponentially more memory (`d^2n`), but its
 //!   fidelities are ground truth with zero sampling error.
 //!
-//! [`Backend`] unifies them behind one `run`/`fidelity` API so verification
-//! helpers, benches and tests can be routed through either engine (the
-//! bench binaries expose this as a `--backend` switch), and
-//! [`cross_validate`] pits them against each other: the trajectory estimate
-//! must land within the computed confidence bound of the exact value.
+//! [`BackendKind`] names the engine a job runs on, and
+//! [`CrossValidation`] holds one comparison of the two: the trajectory
+//! estimate must land within the computed confidence bound of the exact
+//! value. `qudit_api::Executor::cross_validate` runs both legs.
 
-use crate::error::{NoiseError, NoiseResult};
-use crate::exact::DensityNoiseSimulator;
-use crate::models::NoiseModel;
-use crate::trajectory::{FidelityEstimate, TrajectoryConfig, TrajectorySimulator};
-use qudit_circuit::passes::{self, PassLevel};
-use qudit_circuit::Circuit;
-use qudit_core::{CoreResult, StateVector};
-use qudit_sim::{CompiledCircuit, CompiledDensityCircuit, DensityMatrix};
-
-/// Validates an input state's shape against a circuit, turning the former
-/// panic path of [`Backend::run_each`] into a typed error.
-fn check_state_shape(circuit: &Circuit, state: &StateVector) -> NoiseResult<()> {
-    if state.dim() != circuit.dim() || state.num_qudits() != circuit.width() {
-        return Err(NoiseError::StateShapeMismatch {
-            expected_dim: circuit.dim(),
-            expected_width: circuit.width(),
-            actual_dim: state.dim(),
-            actual_width: state.num_qudits(),
-        });
-    }
-    Ok(())
-}
-
-/// The output of a noise-free backend run: a pure state for state-vector
-/// engines, a density matrix for exact engines. Common read-out queries are
-/// provided so callers can stay backend-agnostic.
-#[derive(Clone, Debug)]
-pub enum SimOutput {
-    /// A state vector `|ψ⟩`.
-    Pure(StateVector),
-    /// A density matrix `ρ` (pure in the noise-free case, but stored
-    /// generally).
-    Mixed(DensityMatrix),
-}
-
-impl SimOutput {
-    /// The probability of measuring the basis state with the given digits.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any digit is out of range.
-    pub fn probability(&self, digits: &[usize]) -> CoreResult<f64> {
-        match self {
-            SimOutput::Pure(psi) => psi.probability(digits),
-            SimOutput::Mixed(rho) => rho.population(digits),
-        }
-    }
-
-    /// The full probability distribution over basis states.
-    pub fn probabilities(&self) -> Vec<f64> {
-        match self {
-            SimOutput::Pure(psi) => psi.probabilities(),
-            SimOutput::Mixed(rho) => rho.diagonal(),
-        }
-    }
-
-    /// The fidelity against a pure reference state: `|⟨φ|ψ⟩|²` or
-    /// `⟨φ|ρ|φ⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn fidelity_with_pure(&self, reference: &StateVector) -> f64 {
-        match self {
-            SimOutput::Pure(psi) => reference.fidelity(psi),
-            SimOutput::Mixed(rho) => rho.fidelity_with_pure(reference),
-        }
-    }
-}
-
-/// A simulation engine that can run circuits noise-free and estimate
-/// fidelities under a noise model.
-pub trait Backend: Send + Sync {
-    /// A short stable name (`"trajectory"` / `"density-matrix"`), used by
-    /// the `--backend` CLI switches and in reports.
-    fn name(&self) -> &'static str;
-
-    /// Noise-free evolution of a stream of inputs through one circuit
-    /// compilation: the circuit is compiled once, each input is evolved,
-    /// and `observer(input index, output)` is invoked per input. Stops
-    /// early when the observer returns `false`.
-    ///
-    /// Prefer this over repeated [`Backend::run`] calls when sweeping many
-    /// inputs (e.g. exhaustive verification over all basis states) — it
-    /// avoids re-planning every operation per input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::StateShapeMismatch`] if an input's dimension
-    /// or width does not match the circuit; inputs before the offending one
-    /// have already been observed.
-    fn run_each(
-        &self,
-        circuit: &Circuit,
-        inputs: &mut dyn Iterator<Item = StateVector>,
-        observer: &mut dyn FnMut(usize, SimOutput) -> bool,
-    ) -> NoiseResult<()>;
-
-    /// Noise-free evolution of `initial` through `circuit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::StateShapeMismatch`] if the state's shape does
-    /// not match the circuit.
-    fn run(&self, circuit: &Circuit, initial: &StateVector) -> NoiseResult<SimOutput> {
-        let mut out = None;
-        self.run_each(
-            circuit,
-            &mut std::iter::once(initial.clone()),
-            &mut |_, o| {
-                out = Some(o);
-                false
-            },
-        )?;
-        Ok(out.expect("run_each yields one output for one input"))
-    }
-
-    /// Mean fidelity of `circuit` under `model` for the configured input
-    /// distribution. Trajectory backends sample `config.trials`
-    /// trajectories; the exact backend returns ground truth (averaging only
-    /// over inputs when the input distribution is random). The accounting
-    /// follows `config.level` (physical lowering by default, the logical
-    /// ablation at [`PassLevel::NoisePreserving`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model is unphysical for the circuit's
-    /// dimension, the level does not support noise, or the input
-    /// specification is invalid.
-    fn fidelity(
-        &self,
-        circuit: &Circuit,
-        model: &NoiseModel,
-        config: &TrajectoryConfig,
-    ) -> NoiseResult<FidelityEstimate>;
-}
-
-/// The state-vector / quantum-trajectory engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TrajectoryBackend;
-
-impl Backend for TrajectoryBackend {
-    fn name(&self) -> &'static str {
-        "trajectory"
-    }
-
-    fn run_each(
-        &self,
-        circuit: &Circuit,
-        inputs: &mut dyn Iterator<Item = StateVector>,
-        observer: &mut dyn FnMut(usize, SimOutput) -> bool,
-    ) -> NoiseResult<()> {
-        // Noise-free: the full Ideal pass pipeline may fuse and cancel.
-        let compiled = CompiledCircuit::compile_ir(&passes::compile(circuit, PassLevel::Ideal));
-        for (i, input) in inputs.enumerate() {
-            check_state_shape(circuit, &input)?;
-            if !observer(i, SimOutput::Pure(compiled.run(input))) {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    fn fidelity(
-        &self,
-        circuit: &Circuit,
-        model: &NoiseModel,
-        config: &TrajectoryConfig,
-    ) -> NoiseResult<FidelityEstimate> {
-        let sim = TrajectorySimulator::with_level(circuit, model, config.level)?;
-        sim.run(config)
-    }
-}
-
-/// The exact density-matrix engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DensityMatrixBackend;
-
-impl Backend for DensityMatrixBackend {
-    fn name(&self) -> &'static str {
-        "density-matrix"
-    }
-
-    fn run_each(
-        &self,
-        circuit: &Circuit,
-        inputs: &mut dyn Iterator<Item = StateVector>,
-        observer: &mut dyn FnMut(usize, SimOutput) -> bool,
-    ) -> NoiseResult<()> {
-        // Noise-free: the full Ideal pass pipeline may fuse and cancel.
-        let compiled =
-            CompiledDensityCircuit::compile_ir(&passes::compile(circuit, PassLevel::Ideal));
-        for (i, input) in inputs.enumerate() {
-            check_state_shape(circuit, &input)?;
-            let out = compiled.run(DensityMatrix::from_pure(&input));
-            if !observer(i, SimOutput::Mixed(out)) {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    fn fidelity(
-        &self,
-        circuit: &Circuit,
-        model: &NoiseModel,
-        config: &TrajectoryConfig,
-    ) -> NoiseResult<FidelityEstimate> {
-        let sim = DensityNoiseSimulator::with_level(circuit, model, config.level)?;
-        sim.run(config)
-    }
-}
+use crate::trajectory::FidelityEstimate;
 
 /// Backend selector, for CLI `--backend` switches and config plumbing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// [`TrajectoryBackend`].
+    /// The state-vector / quantum-trajectory engine.
     Trajectory,
-    /// [`DensityMatrixBackend`].
+    /// The exact density-matrix engine.
     DensityMatrix,
 }
 
@@ -248,24 +36,17 @@ impl BackendKind {
         }
     }
 
-    /// Instantiates the selected backend.
-    pub fn instantiate(self) -> Box<dyn Backend> {
-        match self {
-            BackendKind::Trajectory => Box::new(TrajectoryBackend),
-            BackendKind::DensityMatrix => Box::new(DensityMatrixBackend),
-        }
-    }
-
-    /// The backend's stable name.
+    /// The backend's stable name (`"trajectory"` / `"density-matrix"`),
+    /// used in reports.
     pub fn name(self) -> &'static str {
         match self {
-            BackendKind::Trajectory => TrajectoryBackend.name(),
-            BackendKind::DensityMatrix => DensityMatrixBackend.name(),
+            BackendKind::Trajectory => "trajectory",
+            BackendKind::DensityMatrix => "density-matrix",
         }
     }
 }
 
-/// One trajectory-vs-exact comparison from [`cross_validate`].
+/// One trajectory-vs-exact comparison.
 #[derive(Clone, Copy, Debug)]
 pub struct CrossValidation {
     /// The exact (density-matrix) fidelity.
@@ -279,11 +60,15 @@ pub struct CrossValidation {
 
 impl CrossValidation {
     /// Builds the comparison from an exact run and a trajectory run,
-    /// computing the standard confidence bound: `sigmas × max(binomial σ
-    /// at the exact value, sample std error)` plus a small absolute floor
-    /// for the near-deterministic `F → 1` regime. The single source of the
-    /// bound formula — [`cross_validate`] and the `crossval` CI gate's
-    /// virtual-accounting leg both build through it.
+    /// computing the standard confidence bound.
+    ///
+    /// Per-trial fidelities lie in `[0, 1]`, so the sample-mean standard
+    /// error is bounded by the binomial form `√(F(1−F)/trials)` evaluated
+    /// at the exact `F`; the bound used is `sigmas` times the larger of
+    /// that and the observed sample standard error, plus a small absolute
+    /// floor for the near-deterministic `F → 1` regime. The single source
+    /// of the bound formula: `Executor::cross_validate` and the `crossval`
+    /// CI gate's virtual-accounting leg both build through it.
     pub fn from_runs(exact: FidelityEstimate, estimate: FidelityEstimate, sigmas: f64) -> Self {
         let trials = estimate.trials.max(1) as f64;
         let binomial_sigma =
@@ -306,39 +91,17 @@ impl CrossValidation {
     }
 }
 
-/// Cross-validates the two backends on one (circuit, model, config) triple:
-/// runs the exact density-matrix fidelity and the trajectory estimate, and
-/// computes the confidence bound the estimate must satisfy.
-///
-/// Per-trial fidelities lie in `[0, 1]`, so the sample-mean standard error
-/// is bounded by the binomial form `√(F(1−F)/trials)` evaluated at the
-/// exact `F`; the bound used is `sigmas` times the larger of that and the
-/// observed sample standard error (plus a small absolute floor for the
-/// near-deterministic `F → 1` regime). With the same `config.seed`, both
-/// backends see identical input draws for random-input configs, so input
-/// variation cancels and the bound only has to cover noise sampling.
-///
-/// # Errors
-///
-/// Returns an error if the model is unphysical for the circuit dimension or
-/// the input specification is invalid.
-pub fn cross_validate(
-    circuit: &Circuit,
-    model: &NoiseModel,
-    config: &TrajectoryConfig,
-    sigmas: f64,
-) -> NoiseResult<CrossValidation> {
-    let exact = DensityMatrixBackend.fidelity(circuit, model, config)?;
-    let estimate = TrajectoryBackend.fidelity(circuit, model, config)?;
-    Ok(CrossValidation::from_runs(exact, estimate, sigmas))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::sc_t1_gates;
-    use crate::InputState;
-    use qudit_circuit::{Control, Gate};
+    use crate::{
+        CancelToken, DensityNoiseSimulator, InputState, Precision, SharedNoiseArtifacts,
+        TrajectoryConfig, TrajectorySimulator,
+    };
+    use qudit_circuit::passes::{self, PassLevel};
+    use qudit_circuit::{Circuit, Control, Gate};
+    use qudit_sim::Simulator;
 
     fn toffoli_fig4() -> Circuit {
         let mut c = Circuit::new(3, 3);
@@ -349,38 +112,6 @@ mod tests {
         c.push_controlled(Gate::decrement(3), &[Control::on_one(0)], &[1])
             .unwrap();
         c
-    }
-
-    #[test]
-    fn both_backends_agree_on_noise_free_runs() {
-        let c = toffoli_fig4();
-        let input = StateVector::from_basis_state(3, &[1, 1, 0]).unwrap();
-        let pure = TrajectoryBackend.run(&c, &input).unwrap();
-        let mixed = DensityMatrixBackend.run(&c, &input).unwrap();
-        for (a, b) in pure.probabilities().iter().zip(mixed.probabilities()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert!((mixed.probability(&[1, 1, 1]).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shape_mismatch_is_a_typed_error_not_a_panic() {
-        let c = toffoli_fig4();
-        let wrong_width = StateVector::from_basis_state(3, &[1, 1]).unwrap();
-        let wrong_dim = StateVector::from_basis_state(2, &[1, 1, 0]).unwrap();
-        for backend in [
-            &TrajectoryBackend as &dyn Backend,
-            &DensityMatrixBackend as &dyn Backend,
-        ] {
-            for bad in [&wrong_width, &wrong_dim] {
-                let err = backend.run(&c, bad).unwrap_err();
-                assert!(
-                    matches!(err, NoiseError::StateShapeMismatch { .. }),
-                    "{} gave {err}",
-                    backend.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -399,19 +130,33 @@ mod tests {
             Some(BackendKind::DensityMatrix)
         );
         assert_eq!(BackendKind::from_flag("qft"), None);
-        assert_eq!(BackendKind::Trajectory.instantiate().name(), "trajectory");
+        assert_eq!(BackendKind::Trajectory.name(), "trajectory");
+        assert_eq!(BackendKind::DensityMatrix.name(), "density-matrix");
     }
 
     #[test]
     fn cross_validation_passes_on_the_fig4_toffoli() {
-        let c = toffoli_fig4();
+        let artifacts =
+            SharedNoiseArtifacts::from_ir(&passes::compile(&toffoli_fig4(), PassLevel::Physical))
+                .unwrap();
+        let model = sc_t1_gates();
+        let planner = Simulator::new();
         let config = TrajectoryConfig {
             trials: 200,
             seed: 2019,
             input: InputState::AllOnes,
             ..TrajectoryConfig::default()
         };
-        let cv = cross_validate(&c, &sc_t1_gates(), &config, 3.0).unwrap();
+        let never = CancelToken::never();
+        let exact = DensityNoiseSimulator::from_artifacts_with(&artifacts, &model, &planner)
+            .unwrap()
+            .run_with_precision(&config, &Precision::FixedTrials, &never)
+            .unwrap();
+        let estimate = TrajectorySimulator::from_artifacts_with(&artifacts, &model, &planner)
+            .unwrap()
+            .run_with_precision(&config, &Precision::FixedTrials, &never)
+            .unwrap();
+        let cv = CrossValidation::from_runs(exact, estimate, 3.0);
         assert!(
             cv.within_bounds(),
             "trajectory {} vs exact {} exceeds bound {}",

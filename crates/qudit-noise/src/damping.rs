@@ -139,11 +139,11 @@ mod tests {
 
     #[test]
     fn ground_state_never_decays() {
-        let channel = qutrit_damping(0.5, 0.5).unwrap();
+        let channel = qutrit_damping(0.5, 0.5).unwrap().compile(3, 1, &[0]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut state = StateVector::from_basis_state(3, &[0]).unwrap();
         for _ in 0..20 {
-            let branch = channel.apply_trajectory(&mut state, &[0], &mut rng);
+            let branch = channel.apply_trajectory(&mut state, &mut rng);
             assert_eq!(branch, 0);
         }
         assert!((state.probability(&[0]).unwrap() - 1.0).abs() < 1e-12);
@@ -152,13 +152,13 @@ mod tests {
     #[test]
     fn excited_two_state_decays_to_zero_with_lambda2() {
         let lambda2: f64 = 0.4;
-        let channel = qutrit_damping(0.0, lambda2).unwrap();
+        let channel = qutrit_damping(0.0, lambda2).unwrap().compile(3, 1, &[0]);
         let mut rng = StdRng::seed_from_u64(2);
         let trials = 4000;
         let mut decays = 0;
         for _ in 0..trials {
             let mut state = StateVector::from_basis_state(3, &[2]).unwrap();
-            let branch = channel.apply_trajectory(&mut state, &[0], &mut rng);
+            let branch = channel.apply_trajectory(&mut state, &mut rng);
             if branch == 2 {
                 decays += 1;
                 assert!((state.probability(&[0]).unwrap() - 1.0).abs() < 1e-12);

@@ -1,215 +1,91 @@
 //! Exact (density-matrix) noise simulation.
 //!
 //! Evolves `ρ` through the same noisy process the trajectory Monte Carlo
-//! samples — the same [`NoiseProgram`]: per frame, the gate unitaries, then
+//! samples — the same `NoiseProgram`: per frame, the gate unitaries, then
 //! one gate-error channel per gate, then the frame's idle error — but
 //! applies every channel *exactly* as its superoperator `Σᵢ Kᵢ ⊗ conj(Kᵢ)`
 //! instead of drawing one branch. The resulting fidelity
 //! `⟨ψ_ideal|ρ|ψ_ideal⟩` is the ground-truth value the trajectory estimates
-//! converge to; the cross-validation harness ([`crate::cross_validate`])
-//! asserts exactly that, and the `decomposition_diff` suite asserts the
-//! physically lowered program agrees with an independent virtual-accounting
-//! oracle to ≤ 1e-9.
+//! converge to; the cross-validation gate (`Executor::cross_validate` in
+//! `qudit-api`) asserts exactly that, and the `decomposition_diff` suite
+//! asserts the physically lowered program agrees with an independent
+//! virtual-accounting oracle to ≤ 1e-9.
 //!
 //! Cost: `d^2n` entries instead of `d^n` amplitudes, so this is the small-n
 //! oracle (≲ 6–7 qutrits) while trajectories remain the scalable engine.
 
 use crate::cancel::CancelToken;
-use crate::error::{NoiseError, NoiseResult};
+use crate::error::NoiseResult;
 use crate::models::NoiseModel;
 use crate::trajectory::{
-    build_noise_sites, estimate_from_samples, FidelityEstimate, InputState, NoiseProgram,
-    NoiseSites, Precision, TrajectoryConfig, Welford,
+    estimate_from_samples, FidelityEstimate, InputState, NoiseProgram, NoiseSites, Precision,
+    TrajectoryConfig, Welford,
 };
-use qudit_circuit::passes::{CompiledIr, PassLevel};
 use qudit_core::{random_qubit_subspace_state, CoreError, StateVector};
-use qudit_sim::{
-    superoperator_targets, ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix,
-    Simulator,
-};
+use qudit_sim::{ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// An exact density-matrix noise simulator bound to a circuit and a noise
-/// model.
+/// An exact density-matrix noise simulator bound to a compiled circuit and
+/// a noise model.
 ///
-/// Construction compiles a `NoiseProgram` (physically lowered by
-/// default) and compiles the program circuit twice — a state-vector
+/// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
+/// `NoiseProgram`, the program circuit compiled twice — a state-vector
 /// [`CompiledCircuit`] for the ideal reference output and a
-/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution — plus one
+/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution — and one
 /// superoperator [`ApplyPlan`] per (channel, site). Everything is
 /// immutable and `Sync`, so input averaging fans out across rayon workers.
-pub struct DensityNoiseSimulator<'a> {
+pub struct DensityNoiseSimulator {
     program: Arc<NoiseProgram>,
     ideal: Arc<CompiledCircuit>,
     noisy: Arc<CompiledDensityCircuit>,
-    model: &'a NoiseModel,
     /// Per-site superoperator plans over the vectorised `2n`-qudit view of
     /// `ρ` — same site set as the trajectory engine, each site a single
     /// deterministic plan.
     sites: Arc<NoiseSites<ApplyPlan>>,
 }
 
-impl<'a> DensityNoiseSimulator<'a> {
-    /// Builds the simulator on the physically lowered circuit — the
-    /// default accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension, or the circuit cannot be lowered.
-    pub fn new(circuit: &qudit_circuit::Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::physical(circuit)?, model)
-    }
-
-    /// Builds the simulator on the logical-granularity ablation accounting
-    /// (one error per unlowered operation; the optimistic baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension.
-    pub fn logical(circuit: &qudit_circuit::Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::logical(circuit), model)
-    }
-
-    /// Builds the simulator a pass level selects: [`PassLevel::Physical`]
-    /// → the lowered accounting, [`PassLevel::NoisePreserving`] → the
-    /// logical ablation. The single dispatch point behind
-    /// [`exact_fidelity`] and the [`Backend`](crate::Backend) trait.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] for the optimizing levels;
-    /// otherwise the same conditions as [`DensityNoiseSimulator::new`].
-    pub fn with_level(
-        circuit: &qudit_circuit::Circuit,
-        model: &'a NoiseModel,
-        level: PassLevel,
-    ) -> NoiseResult<Self> {
-        match level {
-            PassLevel::Physical => Self::new(circuit, model),
-            PassLevel::NoisePreserving => Self::logical(circuit, model),
-            level => Err(NoiseError::UnsupportedLevel {
-                level: level.name(),
-            }),
-        }
-    }
-
-    /// Builds the simulator from an already-compiled IR, skipping the pass
-    /// pipeline: the accounting follows the level the IR was compiled at.
-    /// The compile-once entry point the `qudit-api` executor uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] if the IR was compiled at
-    /// an optimizing level, or an error if the model parameters are
-    /// unphysical for the circuit's qudit dimension.
-    pub fn from_compiled(ir: &CompiledIr, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::from_ir(ir)?, model)
-    }
-
-    /// Like [`DensityNoiseSimulator::from_compiled`], but the ideal
-    /// reference's gate plans compile through the caller's [`Simulator`]
-    /// plan cache, shared across simulators over the same circuit. (The
-    /// superoperator pair plans and channel plans are model-shaped and
-    /// still build per construction.)
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DensityNoiseSimulator::from_compiled`].
-    pub fn from_compiled_with(
-        ir: &CompiledIr,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        Self::from_program_with(NoiseProgram::from_ir(ir)?, model, planner)
-    }
-
-    fn from_program(program: NoiseProgram, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program_with(program, model, &Simulator::new())
-    }
-
-    /// Builds the simulator on memoized shared artifacts (see
-    /// [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts)): the noise
+impl DensityNoiseSimulator {
+    /// Builds the simulator on memoized shared artifacts: the noise
     /// program, both compiled replays and the per-site superoperator plans
     /// are all shared — repeated constructions over the same cached circuit
-    /// entry build nothing at all.
+    /// entry build nothing at all. The accounting follows the level the
+    /// artifacts' IR was compiled at; the ideal reference's gate plans
+    /// compile through `planner`'s plan cache on first use.
     ///
     /// # Errors
     ///
     /// Propagates model-validation failures from channel construction.
     pub fn from_artifacts_with(
         artifacts: &crate::SharedNoiseArtifacts,
-        model: &'a NoiseModel,
+        model: &NoiseModel,
         planner: &Simulator,
     ) -> NoiseResult<Self> {
         Ok(DensityNoiseSimulator {
             program: Arc::clone(artifacts.program()),
             ideal: artifacts.ideal(planner),
             noisy: artifacts.noisy_density(),
-            model,
             sites: artifacts.density_sites(model)?,
         })
     }
 
-    fn from_program_with(
-        program: NoiseProgram,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        let d = program.circuit.dim();
-        let n = program.circuit.width();
-        let sites = build_noise_sites(&program, model, |c, qudits| {
-            ApplyPlan::for_matrix(
-                d,
-                2 * n,
-                &c.superoperator(),
-                &superoperator_targets(qudits, n),
-            )
-        })?;
-        Ok(DensityNoiseSimulator {
-            ideal: Arc::new(planner.compile(&program.circuit)),
-            noisy: Arc::new(CompiledDensityCircuit::compile(&program.circuit)),
-            program: Arc::new(program),
-            model,
-            sites: Arc::new(sites),
-        })
-    }
-
-    /// The noise model in use.
-    pub fn model(&self) -> &NoiseModel {
-        self.model
-    }
-
     /// Evolves `|ψ⟩⟨ψ|` for the initial state `initial` through the noisy
-    /// process exactly and returns the final density matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match the circuit.
-    pub fn evolve(&self, initial: &StateVector) -> DensityMatrix {
-        match self.evolve_cancellable(initial, &CancelToken::never()) {
-            Ok(rho) => rho,
-            Err(_) => unreachable!("the never token cannot cancel an evolution"),
-        }
-    }
-
-    /// Like [`DensityNoiseSimulator::evolve`], but checks `cancel` between
-    /// frames — density frames are the expensive unit of work here
-    /// (`d^2n`-entry superoperator applies), so per-frame granularity bounds
-    /// the overrun after a deadline expires.
+    /// process exactly and returns the final density matrix, checking
+    /// `cancel` between frames — density frames are the expensive unit of
+    /// work here (`d^2n`-entry superoperator applies), so per-frame
+    /// granularity bounds the overrun after a deadline expires.
     ///
     /// # Errors
     ///
-    /// Returns [`NoiseError::Cancelled`] once the token trips.
+    /// Returns [`NoiseError::Cancelled`](crate::NoiseError::Cancelled) once
+    /// the token trips.
     ///
     /// # Panics
     ///
     /// Panics if the state shape does not match the circuit.
-    pub fn evolve_cancellable(
+    fn evolve_cancellable(
         &self,
         initial: &StateVector,
         cancel: &CancelToken,
@@ -246,38 +122,6 @@ impl<'a> DensityNoiseSimulator<'a> {
         Ok(rho)
     }
 
-    /// The exact fidelity `⟨ψ_ideal|ρ_noisy|ψ_ideal⟩` for one initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match the circuit.
-    pub fn exact_fidelity(&self, initial: &StateVector) -> f64 {
-        let ideal = self.ideal.run_sequential(initial.clone());
-        self.evolve(initial).fidelity_with_pure(&ideal)
-    }
-
-    /// The exact *noisy-vs-noisy* fidelity: evolves the same initial state
-    /// through this simulator and through `other`, and compares the two
-    /// mixed outputs with the Uhlmann fidelity
-    /// ([`DensityMatrix::fidelity`], `tr(√(√ρ σ √ρ))²`).
-    ///
-    /// [`DensityNoiseSimulator::exact_fidelity`] compares against a *pure*
-    /// ideal reference, which `fidelity_with_pure` handles; comparing two
-    /// noise models (or two compilations of the same circuit under one
-    /// model) needs the mixed-reference fidelity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match either circuit, or the two
-    /// simulators' registers have different shapes.
-    pub fn exact_fidelity_vs(
-        &self,
-        other: &DensityNoiseSimulator<'_>,
-        initial: &StateVector,
-    ) -> f64 {
-        self.evolve(initial).fidelity(&other.evolve(initial))
-    }
-
     /// Draws the initial state for input-sample `i`, consuming the RNG the
     /// same way trajectory trial `i` does — so an exact run and a trajectory
     /// run with the same config see the *same* random inputs and differ only
@@ -295,32 +139,17 @@ impl<'a> DensityNoiseSimulator<'a> {
         }
     }
 
-    /// Runs the exact simulation for the configured input distribution.
+    /// Runs the exact simulation for the configured input distribution,
+    /// checking `cancel` between frames of every evolution.
     ///
     /// For a fixed input ([`InputState::AllOnes`] / [`InputState::Basis`])
     /// the result is a single deterministic value (`std_error` 0, one
     /// "trial"). For [`InputState::RandomQubitSubspace`] the exact fidelity
     /// is averaged over `config.trials` seeded input draws — deterministic
     /// for a fixed seed, with `std_error` reflecting input variation only
-    /// (the noise itself contributes none).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input specification is invalid for the
-    /// circuit.
-    pub fn run(&self, config: &TrajectoryConfig) -> NoiseResult<FidelityEstimate> {
-        self.run_cancellable(config, &CancelToken::never())
-    }
-
-    /// Like [`DensityNoiseSimulator::run`], but every input's evolution
-    /// checks `cancel` between frames; the sweep over input draws
-    /// short-circuits on the first [`NoiseError::Cancelled`].
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`DensityNoiseSimulator::run`].
-    pub fn run_cancellable(
+    /// (the noise itself contributes none); the sweep short-circuits on the
+    /// first cancellation.
+    fn run_cancellable(
         &self,
         config: &TrajectoryConfig,
         cancel: &CancelToken,
@@ -372,8 +201,9 @@ impl<'a> DensityNoiseSimulator<'a> {
     /// Runs with the requested [`Precision`], mirroring the trajectory
     /// engine's adaptive loop where it makes sense:
     ///
-    /// * [`Precision::FixedTrials`] — exactly
-    ///   [`DensityNoiseSimulator::run_cancellable`].
+    /// * [`Precision::FixedTrials`] — one evolution for a deterministic
+    ///   input, or the mean over `config.trials` seeded input draws for
+    ///   random inputs.
     /// * [`Precision::TargetSigma`] with a **deterministic input**
     ///   ([`InputState::AllOnes`] / [`InputState::Basis`]) — the cheap
     ///   fixed-cost path: the exact value has no sampling error at all, so
@@ -384,8 +214,9 @@ impl<'a> DensityNoiseSimulator<'a> {
     ///
     /// # Errors
     ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`DensityNoiseSimulator::run`].
+    /// [`NoiseError::Cancelled`](crate::NoiseError::Cancelled) once the
+    /// token trips; otherwise an error if the input specification is
+    /// invalid for the circuit.
     pub fn run_with_precision(
         &self,
         config: &TrajectoryConfig,
@@ -424,28 +255,12 @@ impl<'a> DensityNoiseSimulator<'a> {
     }
 }
 
-/// Convenience entry point: exact fidelity of `circuit` under `model`.
-/// `config.level` selects the accounting: [`PassLevel::Physical`] (default)
-/// simulates the physically lowered circuit, [`PassLevel::NoisePreserving`]
-/// the logical ablation baseline.
-///
-/// # Errors
-///
-/// Returns an error if the model is unphysical for the circuit dimension,
-/// the level does not support noise, or the input specification is invalid.
-pub fn exact_fidelity(
-    circuit: &qudit_circuit::Circuit,
-    model: &NoiseModel,
-    config: &TrajectoryConfig,
-) -> Result<FidelityEstimate, Box<dyn std::error::Error + Send + Sync>> {
-    let sim = DensityNoiseSimulator::with_level(circuit, model, config.level)?;
-    Ok(sim.run(config)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{sc, sc_t1_gates};
+    use crate::{NoiseError, SharedNoiseArtifacts};
+    use qudit_circuit::passes::{self, PassLevel};
     use qudit_circuit::{Circuit, Control, Gate};
 
     fn toffoli_fig4() -> Circuit {
@@ -457,6 +272,27 @@ mod tests {
         c.push_controlled(Gate::decrement(3), &[Control::on_one(0)], &[1])
             .unwrap();
         c
+    }
+
+    /// A simulator over the physically lowered `circuit`, built the way the
+    /// executor builds one.
+    fn simulator(circuit: &Circuit, model: &NoiseModel) -> DensityNoiseSimulator {
+        let ir = passes::compile(circuit, PassLevel::Physical);
+        let artifacts = SharedNoiseArtifacts::from_ir(&ir).unwrap();
+        DensityNoiseSimulator::from_artifacts_with(&artifacts, model, &Simulator::new()).unwrap()
+    }
+
+    /// The exact fidelity of `circuit` under `model` for `config`'s inputs.
+    fn exact(circuit: &Circuit, model: &NoiseModel, config: &TrajectoryConfig) -> FidelityEstimate {
+        simulator(circuit, model)
+            .run_with_precision(config, &Precision::FixedTrials, &CancelToken::never())
+            .unwrap()
+    }
+
+    fn evolve(sim: &DensityNoiseSimulator, digits: &[usize]) -> DensityMatrix {
+        let input = StateVector::from_basis_state(3, digits).unwrap();
+        sim.evolve_cancellable(&input, &CancelToken::never())
+            .unwrap()
     }
 
     #[test]
@@ -477,7 +313,7 @@ mod tests {
             input: InputState::AllOnes,
             ..TrajectoryConfig::default()
         };
-        let est = exact_fidelity(&c, &model, &config).unwrap();
+        let est = exact(&c, &model, &config);
         assert!((est.mean - 1.0).abs() < 1e-12);
         assert_eq!(est.std_error, 0.0);
     }
@@ -490,36 +326,17 @@ mod tests {
             input: InputState::AllOnes,
             ..TrajectoryConfig::default()
         };
-        let a = exact_fidelity(&c, &model, &config).unwrap();
-        let b = exact_fidelity(&c, &model, &config).unwrap();
+        let a = exact(&c, &model, &config);
+        let b = exact(&c, &model, &config);
         assert_eq!(a.mean, b.mean, "exact backend must be deterministic");
         assert!(a.mean > 0.9 && a.mean < 1.0, "fidelity {}", a.mean);
-    }
-
-    #[test]
-    fn noisy_vs_noisy_fidelity_uses_the_uhlmann_form() {
-        let c = toffoli_fig4();
-        let input = StateVector::from_basis_state(3, &[1, 1, 1]).unwrap();
-        let model_a = sc();
-        let model_b = sc_t1_gates();
-        let sim_a = DensityNoiseSimulator::new(&c, &model_a).unwrap();
-        let sim_b = DensityNoiseSimulator::new(&c, &model_b).unwrap();
-        // A simulator against itself is a perfect match.
-        assert!((sim_a.exact_fidelity_vs(&sim_a, &input) - 1.0).abs() < 1e-9);
-        // Two different noise models produce close but distinct mixed
-        // states: high fidelity, strictly below 1, and symmetric.
-        let f_ab = sim_a.exact_fidelity_vs(&sim_b, &input);
-        let f_ba = sim_b.exact_fidelity_vs(&sim_a, &input);
-        assert!(f_ab > 0.5 && f_ab < 1.0 - 1e-9, "{f_ab}");
-        assert!((f_ab - f_ba).abs() < 1e-9);
     }
 
     #[test]
     fn evolved_density_matrix_stays_physical() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
-        let rho = sim.evolve(&StateVector::from_basis_state(3, &[1, 1, 1]).unwrap());
+        let rho = evolve(&simulator(&c, &model), &[1, 1, 1]);
         assert!((rho.trace().re - 1.0).abs() < 1e-9);
         assert!(rho.hermiticity_error() < 1e-10);
         assert!(rho.min_population() > -1e-12);
@@ -537,8 +354,7 @@ mod tests {
         )
         .unwrap();
         let model = sc_t1_gates();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
-        let rho = sim.evolve(&StateVector::from_basis_state(3, &[1, 1, 0]).unwrap());
+        let rho = evolve(&simulator(&c, &model), &[1, 1, 0]);
         assert!((rho.trace().re - 1.0).abs() < 1e-9);
         assert!(rho.hermiticity_error() < 1e-10);
         assert!(rho.min_population() > -1e-12);
@@ -548,19 +364,23 @@ mod tests {
     fn a_tripped_token_cancels_the_exact_sweep() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model);
         let token = CancelToken::new();
         token.cancel();
         let config = TrajectoryConfig::default();
-        assert_eq!(
-            sim.run_cancellable(&config, &token),
-            Err(NoiseError::Cancelled)
-        );
-        // And the cancellable path agrees with the plain one when never
-        // cancelled.
-        let plain = sim.run(&config).unwrap();
-        let never = sim.run_cancellable(&config, &CancelToken::never()).unwrap();
-        assert_eq!(plain.mean, never.mean);
+        for precision in [
+            Precision::FixedTrials,
+            Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 8,
+                max_trials: 64,
+            },
+        ] {
+            assert_eq!(
+                sim.run_with_precision(&config, &precision, &token),
+                Err(NoiseError::Cancelled)
+            );
+        }
     }
 
     #[test]
@@ -572,8 +392,8 @@ mod tests {
             seed: 11,
             ..TrajectoryConfig::default()
         };
-        let a = exact_fidelity(&c, &model, &config).unwrap();
-        let b = exact_fidelity(&c, &model, &config).unwrap();
+        let a = exact(&c, &model, &config);
+        let b = exact(&c, &model, &config);
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.trials, 4);
     }

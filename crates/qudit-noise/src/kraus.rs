@@ -8,9 +8,6 @@
 
 use crate::error::{NoiseError, NoiseResult};
 use qudit_core::{CMatrix, Complex, StateVector};
-// Channel branches are applied on the calling thread: trajectory trials
-// already run one per core, so per-branch fan-out would only oversubscribe.
-use qudit_sim::apply_matrix_sequential as apply_matrix;
 use qudit_sim::ApplyPlan;
 use rand::Rng;
 
@@ -114,7 +111,7 @@ impl Channel {
     /// Feeding this to
     /// [`DensityMatrix::apply_superoperator`](qudit_sim::DensityMatrix::apply_superoperator)
     /// applies the channel *exactly* — the density-matrix backend's
-    /// deterministic counterpart of [`Channel::apply_trajectory`].
+    /// deterministic counterpart of [`CompiledChannel::apply_trajectory`].
     pub fn superoperator(&self) -> CMatrix {
         let d2 = self.dim() * self.dim();
         let mut total = CMatrix::zeros(d2, d2);
@@ -230,61 +227,6 @@ impl Channel {
         }
         Ok(Channel::MixedUnitary { probs, unitaries })
     }
-
-    /// Samples one trajectory branch of the channel and applies it to the
-    /// given qudits of the state, renormalising afterwards.
-    ///
-    /// Returns the index of the branch that was applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel dimension does not match `dim^qudits.len()` for
-    /// the state's qudit dimension.
-    pub fn apply_trajectory<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        qudits: &[usize],
-        rng: &mut R,
-    ) -> usize {
-        let expected = state.dim().pow(qudits.len() as u32);
-        assert_eq!(
-            self.dim(),
-            expected,
-            "channel dimension does not match targeted qudits"
-        );
-        match self {
-            Channel::MixedUnitary { probs, unitaries } => {
-                let r: f64 = rng.gen_range(0.0..1.0);
-                let chosen = weighted_pick(probs, r);
-                // Identity branches are usually first and dominant; skip the
-                // work when the chosen unitary is exactly the identity.
-                let u = &unitaries[chosen];
-                if !is_identity(u) {
-                    apply_matrix(state, u, qudits);
-                }
-                chosen
-            }
-            Channel::Kraus { operators } => {
-                // Branch probabilities are ‖K_i|ψ⟩‖²; compute them by
-                // applying each operator to a scratch copy.
-                let mut branch_states: Vec<StateVector> = Vec::with_capacity(operators.len());
-                let mut probs: Vec<f64> = Vec::with_capacity(operators.len());
-                for k in operators {
-                    let mut scratch = state.clone();
-                    apply_matrix(&mut scratch, k, qudits);
-                    let p = scratch.norm().powi(2);
-                    probs.push(p);
-                    branch_states.push(scratch);
-                }
-                let total: f64 = probs.iter().sum();
-                let r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-                let chosen = weighted_pick(&probs, r);
-                *state = branch_states.swap_remove(chosen);
-                state.renormalize();
-                chosen
-            }
-        }
-    }
 }
 
 /// A [`Channel`] precompiled for one `(dim, width, qudit set)` site: every
@@ -312,9 +254,10 @@ impl CompiledChannel {
     /// Samples one branch and applies it on the calling thread,
     /// renormalising afterwards for state-dependent (Kraus) branches.
     ///
-    /// Returns the index of the branch that was applied. Matches
-    /// [`Channel::apply_trajectory`] draw-for-draw, so a trajectory built on
-    /// compiled sites consumes the RNG stream identically.
+    /// Returns the index of the branch that was applied. Matches the
+    /// uncompiled reference sampler (kept with this module's tests)
+    /// draw-for-draw, so precompiling a site cannot shift the RNG stream a
+    /// trajectory consumes.
     ///
     /// # Panics
     ///
@@ -384,6 +327,58 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The uncompiled trajectory sampler, kept as the reference that
+    /// [`CompiledChannel::apply_trajectory`] must match draw-for-draw:
+    /// samples one branch of `channel` and applies it to the given qudits
+    /// of the state, renormalising afterwards. Returns the branch index.
+    fn apply_trajectory<R: Rng + ?Sized>(
+        channel: &Channel,
+        state: &mut StateVector,
+        qudits: &[usize],
+        rng: &mut R,
+    ) -> usize {
+        let expected = state.dim().pow(qudits.len() as u32);
+        assert_eq!(
+            channel.dim(),
+            expected,
+            "channel dimension does not match targeted qudits"
+        );
+        match channel {
+            Channel::MixedUnitary { probs, unitaries } => {
+                let r: f64 = rng.gen_range(0.0..1.0);
+                let chosen = weighted_pick(probs, r);
+                // Identity branches are usually first and dominant; skip the
+                // work when the chosen unitary is exactly the identity.
+                let u = &unitaries[chosen];
+                if !is_identity(u) {
+                    ApplyPlan::for_matrix(state.dim(), state.num_qudits(), u, qudits)
+                        .apply_sequential(state);
+                }
+                chosen
+            }
+            Channel::Kraus { operators } => {
+                // Branch probabilities are ‖K_i|ψ⟩‖²; compute them by
+                // applying each operator to a scratch copy.
+                let mut branch_states: Vec<StateVector> = Vec::with_capacity(operators.len());
+                let mut probs: Vec<f64> = Vec::with_capacity(operators.len());
+                for k in operators {
+                    let mut scratch = state.clone();
+                    ApplyPlan::for_matrix(state.dim(), state.num_qudits(), k, qudits)
+                        .apply_sequential(&mut scratch);
+                    let p = scratch.norm().powi(2);
+                    probs.push(p);
+                    branch_states.push(scratch);
+                }
+                let total: f64 = probs.iter().sum();
+                let r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+                let chosen = weighted_pick(&probs, r);
+                *state = branch_states.swap_remove(chosen);
+                state.renormalize();
+                chosen
+            }
+        }
+    }
+
     #[test]
     fn mixed_unitary_validation() {
         let good = Channel::MixedUnitary {
@@ -423,7 +418,7 @@ mod tests {
         let mut state = StateVector::from_basis_state(3, &[1, 1]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let branch = channel.apply_trajectory(&mut state, &[0], &mut rng);
+            let branch = apply_trajectory(&channel, &mut state, &[0], &mut rng);
             assert_eq!(branch, 0);
         }
         assert!((state.probability(&[1, 1]).unwrap() - 1.0).abs() < 1e-12);
@@ -437,7 +432,7 @@ mod tests {
         };
         let mut state = StateVector::from_basis_state(3, &[0, 0]).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        channel.apply_trajectory(&mut state, &[1], &mut rng);
+        apply_trajectory(&channel, &mut state, &[1], &mut rng);
         assert!((state.probability(&[0, 1]).unwrap() - 1.0).abs() < 1e-12);
     }
 
@@ -464,7 +459,7 @@ mod tests {
         let mut decays = 0;
         for _ in 0..trials {
             let mut state = StateVector::from_basis_state(2, &[1]).unwrap();
-            let branch = channel.apply_trajectory(&mut state, &[0], &mut rng);
+            let branch = apply_trajectory(&channel, &mut state, &[0], &mut rng);
             if branch == 1 {
                 decays += 1;
                 assert!((state.probability(&[0]).unwrap() - 1.0).abs() < 1e-12);
@@ -476,7 +471,7 @@ mod tests {
         // On |0> the decay branch never fires.
         let mut state = StateVector::from_basis_state(2, &[0]).unwrap();
         for _ in 0..50 {
-            assert_eq!(channel.apply_trajectory(&mut state, &[0], &mut rng), 0);
+            assert_eq!(apply_trajectory(&channel, &mut state, &[0], &mut rng), 0);
         }
     }
 
@@ -494,7 +489,7 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(40);
             let mut rng_b = StdRng::seed_from_u64(40);
             for _ in 0..200 {
-                let ba = channel.apply_trajectory(&mut a, &[1], &mut rng_a);
+                let ba = apply_trajectory(&channel, &mut a, &[1], &mut rng_a);
                 let bb = compiled.apply_trajectory(&mut b, &mut rng_b);
                 assert_eq!(ba, bb);
             }
@@ -584,8 +579,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut state = StateVector::zero_state(2, 2).unwrap();
         // Prepare |+⟩ on qubit 1.
-        apply_matrix(&mut state, &gates::qubit::h(), &[1]);
-        channel.apply_trajectory(&mut state, &[1], &mut rng);
+        ApplyPlan::for_matrix(2, 2, &gates::qubit::h(), &[1]).apply(&mut state);
+        apply_trajectory(&channel, &mut state, &[1], &mut rng);
         assert!((state.norm() - 1.0).abs() < 1e-10);
     }
 }

@@ -18,9 +18,9 @@
 //! 3. applies the idle amplitude-damping error to every qudit for the
 //!    frame's duration.
 //!
-//! The default program ([`NoiseProgram::physical`]) compiles the circuit
-//! through the compiler's [`PassLevel::Physical`] pipeline, which lowers
-//! every ≥3-qudit operation into its exact Di & Wei realisation (6
+//! The default program is built from a circuit compiled through the
+//! compiler's [`PassLevel::Physical`] pipeline, which lowers every
+//! ≥3-qudit operation into its exact Di & Wei realisation (6
 //! two-qudit + 7 single-qudit gates, 6 two-qudit layers) — so the error
 //! sites and idle durations *fall out of the lowered circuit*, with no
 //! arity-dispatch anywhere in the noise code. Because every gate-error
@@ -54,7 +54,7 @@ use crate::cancel::CancelToken;
 use crate::error::{NoiseError, NoiseResult};
 use crate::kraus::{Channel, CompiledChannel};
 use crate::models::NoiseModel;
-use qudit_circuit::passes::{self, CompiledIr, PassLevel};
+use qudit_circuit::passes::{CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, FrameDuration, FrameSchedule, Operation, Topology};
 use qudit_core::{random_qubit_subspace_state, CoreError, StateVector};
 use qudit_sim::{CompiledCircuit, Simulator};
@@ -287,44 +287,27 @@ pub(crate) struct NoiseProgram {
 }
 
 impl NoiseProgram {
-    /// The default program: the circuit lowered through
-    /// [`PassLevel::Physical`], with one gate error per lowered gate on the
-    /// gate's own qudits and idle durations measured from the lowered frame
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::Simulation`] if the circuit contains a
-    /// ≥3-qudit operation the decomposition cannot lower (multi-target
-    /// high-arity operations).
-    pub(crate) fn physical(circuit: &Circuit) -> NoiseResult<NoiseProgram> {
-        Self::from_ir(&passes::compile(circuit, PassLevel::Physical))
-    }
-
-    /// The logical-granularity ablation program: the circuit compiled
-    /// through the (identity) [`PassLevel::NoisePreserving`] pipeline, with
-    /// one error per operation on its own qudits (the first two qudits for
-    /// ≥2-qudit operations) and idle durations from the unexpanded
-    /// schedule. This is the optimistic baseline the paper's accounting
-    /// ablation compares against.
-    pub(crate) fn logical(circuit: &Circuit) -> NoiseProgram {
-        let ir = passes::compile(circuit, PassLevel::NoisePreserving);
-        Self::logical_from_ir(&ir)
-    }
-
     /// Builds the program from an already-compiled IR, dispatching on the
-    /// level the IR was compiled at: [`PassLevel::Physical`] yields the
-    /// lowered accounting, [`PassLevel::NoisePreserving`] the logical
-    /// ablation. This is the compile-once entry point the `qudit-api`
-    /// executor's job cache uses — the expensive pass pipeline (including
-    /// the Di & Wei eigendecompositions) runs once per structurally
-    /// distinct circuit.
+    /// level the IR was compiled at:
+    ///
+    /// * [`PassLevel::Physical`] — the lowered accounting: one gate error
+    ///   per lowered gate on the gate's own qudits, idle durations measured
+    ///   from the lowered frame schedule.
+    /// * [`PassLevel::NoisePreserving`] — the logical ablation: one error
+    ///   per operation on its own qudits (the first two qudits for
+    ///   ≥2-qudit operations), idle durations from the unexpanded schedule.
+    ///   This is the optimistic baseline the paper's accounting ablation
+    ///   compares against.
+    ///
+    /// The pass pipeline (including the Di & Wei eigendecompositions) runs
+    /// before this, once per structurally distinct circuit in the
+    /// `qudit-api` executor's job cache.
     ///
     /// # Errors
     ///
     /// Returns [`NoiseError::UnsupportedLevel`] for the optimizing levels
     /// and [`NoiseError::Simulation`] if a ≥3-qudit operation could not be
-    /// lowered.
+    /// lowered (multi-target high-arity operations).
     pub(crate) fn from_ir(ir: &CompiledIr) -> NoiseResult<NoiseProgram> {
         match ir.report().level {
             PassLevel::NoisePreserving => Ok(Self::logical_from_ir(ir)),
@@ -597,154 +580,45 @@ pub(crate) fn build_noise_sites<T>(
     })
 }
 
-/// A trajectory noise simulator bound to a circuit and a noise model.
+/// A trajectory noise simulator bound to a compiled circuit and a noise
+/// model.
 ///
-/// Construction compiles a `NoiseProgram` (physically lowered by
-/// default), compiles the program circuit into per-operation apply plans
-/// ([`CompiledCircuit`]) *and* precompiles every noise channel per
-/// application site (`NoiseSites`); both are shared by every trial, so a
+/// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
+/// `NoiseProgram`, the program circuit's per-operation apply plans
+/// ([`CompiledCircuit`]) and every noise channel precompiled per
+/// application site (`NoiseSites`) are all shared by every trial, so a
 /// Monte Carlo run does zero plan building inside its trial loop. Trials
 /// already run one per core, so gate application inside a trial is
 /// deliberately sequential — nested fan-out would oversubscribe the
 /// machine.
-pub struct TrajectorySimulator<'a> {
+pub struct TrajectorySimulator {
     program: Arc<NoiseProgram>,
     compiled: Arc<CompiledCircuit>,
-    model: &'a NoiseModel,
     channels: Arc<NoiseSites<CompiledChannel>>,
 }
 
-impl<'a> TrajectorySimulator<'a> {
-    /// Builds a trajectory simulator on the physically lowered circuit —
-    /// the default accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension, or the circuit cannot be lowered.
-    pub fn new(circuit: &Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::physical(circuit)?, model)
-    }
-
-    /// Builds a trajectory simulator on the logical-granularity ablation
-    /// accounting (one error per unlowered operation; the optimistic
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension.
-    pub fn logical(circuit: &Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::logical(circuit), model)
-    }
-
-    /// Builds the simulator a pass level selects: [`PassLevel::Physical`]
-    /// → the lowered accounting, [`PassLevel::NoisePreserving`] → the
-    /// logical ablation. The single dispatch point behind
-    /// [`simulate_fidelity`] and the [`Backend`](crate::Backend) trait.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] for the optimizing levels
-    /// (`Ideal`, `PhysicalIdeal`), which change which errors would be
-    /// charged; otherwise the same conditions as
-    /// [`TrajectorySimulator::new`].
-    pub fn with_level(
-        circuit: &Circuit,
-        model: &'a NoiseModel,
-        level: PassLevel,
-    ) -> NoiseResult<Self> {
-        match level {
-            PassLevel::Physical => Self::new(circuit, model),
-            PassLevel::NoisePreserving => Self::logical(circuit, model),
-            level => Err(NoiseError::UnsupportedLevel {
-                level: level.name(),
-            }),
-        }
-    }
-
-    /// Builds the simulator from an already-compiled IR (see
-    /// [`qudit_circuit::passes::compile`]), skipping the pass pipeline: the
-    /// accounting follows the level the IR was compiled at. This is the
-    /// entry point the `qudit-api` executor's structure-keyed job cache
-    /// uses to compile each distinct circuit once per batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] if the IR was compiled at
-    /// an optimizing level, or an error if the model parameters are
-    /// unphysical for the circuit's qudit dimension.
-    pub fn from_compiled(ir: &CompiledIr, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::from_ir(ir)?, model)
-    }
-
-    /// Like [`TrajectorySimulator::from_compiled`], but gate plans compile
-    /// through the caller's [`Simulator`] plan cache, so repeated
-    /// constructions over the same circuit (a batch of jobs differing only
-    /// in noise model or seed) share one plan set instead of each building
-    /// their own.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrajectorySimulator::from_compiled`].
-    pub fn from_compiled_with(
-        ir: &CompiledIr,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        Self::from_program_with(NoiseProgram::from_ir(ir)?, model, planner)
-    }
-
-    fn from_program(program: NoiseProgram, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program_with(program, model, &Simulator::new())
-    }
-
-    /// Builds the simulator on memoized shared artifacts (see
-    /// [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts)): the noise
+impl TrajectorySimulator {
+    /// Builds the simulator on memoized shared artifacts: the noise
     /// program, the compiled replay and the per-site channel plans are all
     /// shared — repeated constructions over the same cached circuit entry
     /// (a batch of jobs differing only in seed or trial count) build
-    /// nothing at all.
+    /// nothing at all. The accounting follows the level the artifacts'
+    /// IR was compiled at; gate plans compile through `planner`'s plan
+    /// cache on first use.
     ///
     /// # Errors
     ///
     /// Propagates model-validation failures from channel construction.
     pub fn from_artifacts_with(
         artifacts: &crate::SharedNoiseArtifacts,
-        model: &'a NoiseModel,
+        model: &NoiseModel,
         planner: &Simulator,
     ) -> NoiseResult<Self> {
         Ok(TrajectorySimulator {
             program: Arc::clone(artifacts.program()),
             compiled: artifacts.ideal(planner),
-            model,
             channels: artifacts.trajectory_sites(model)?,
         })
-    }
-
-    fn from_program_with(
-        program: NoiseProgram,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        let d = program.circuit.dim();
-        let n = program.circuit.width();
-        let channels = build_noise_sites(&program, model, |c, qudits| c.compile(d, n, qudits))?;
-        Ok(TrajectorySimulator {
-            // Compile through a Simulator so structurally equal gates (the
-            // mirrored compute/uncompute halves, the repeated Di & Wei
-            // block gates) share one plan instead of each building their
-            // own — and, with a caller-held planner, across simulators.
-            compiled: Arc::new(planner.compile(&program.circuit)),
-            program: Arc::new(program),
-            model,
-            channels: Arc::new(channels),
-        })
-    }
-
-    /// The noise model in use.
-    pub fn model(&self) -> &NoiseModel {
-        self.model
     }
 
     /// Draws an initial state according to the configured input kind.
@@ -762,45 +636,9 @@ impl<'a> TrajectorySimulator<'a> {
         }
     }
 
-    /// Runs a single trajectory trial and returns the fidelity between the
-    /// ideal and noisy outputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the requested input state is invalid for the
-    /// circuit.
-    pub fn run_trial(&self, input: &InputState, seed: u64) -> Result<f64, CoreError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.draw_input(input, &mut rng)?;
-        match self.trial_from(initial, &mut rng, &CancelToken::never()) {
-            Ok(fidelity) => Ok(fidelity),
-            Err(_) => unreachable!("the never token cannot cancel a trial"),
-        }
-    }
-
-    /// Like [`TrajectorySimulator::run_trial`], but checks `cancel` before
-    /// the trial and between frames, so an expired deadline stops the
-    /// simulation mid-circuit instead of after it.
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run_trial`].
-    pub fn run_trial_cancellable(
-        &self,
-        input: &InputState,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> NoiseResult<f64> {
-        cancel.check()?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = self.draw_input(input, &mut rng)?;
-        self.trial_from(initial, &mut rng, cancel)
-    }
-
-    /// The trial body shared by the cancellable and infallible entry points:
-    /// ideal + noisy evolution from a drawn initial state. Only possible
-    /// error is [`NoiseError::Cancelled`].
+    /// One trial: ideal + noisy evolution from a drawn initial state,
+    /// checking `cancel` between frames. Only possible error is
+    /// [`NoiseError::Cancelled`].
     fn trial_from(
         &self,
         initial: StateVector,
@@ -843,37 +681,11 @@ impl<'a> TrajectorySimulator<'a> {
         Ok(ideal.fidelity(&noisy))
     }
 
-    /// Runs `config.trials` trajectory trials (in parallel) and aggregates a
-    /// fidelity estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input specification is invalid for the
-    /// circuit.
-    pub fn run(&self, config: &TrajectoryConfig) -> NoiseResult<FidelityEstimate> {
-        self.run_cancellable(config, &CancelToken::never())
-    }
-
-    /// Like [`TrajectorySimulator::run`], but every trial checks `cancel`
-    /// between frames; parallel workers short-circuit on the first
-    /// [`NoiseError::Cancelled`].
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run`].
-    pub fn run_cancellable(
-        &self,
-        config: &TrajectoryConfig,
-        cancel: &CancelToken,
-    ) -> NoiseResult<FidelityEstimate> {
-        let fidelities = self.trial_chunk(config, 0..config.trials, cancel)?;
-        Ok(estimate_from_samples(&fidelities))
-    }
-
     /// Runs the trials of one index range in parallel, in index order:
     /// trial `i` uses `seed + i`, so any range's fidelities are exactly the
-    /// corresponding slice of a full run's per-trial stream.
+    /// corresponding slice of a full run's per-trial stream. Each trial
+    /// checks `cancel` before it starts and between frames; parallel
+    /// workers short-circuit on the first [`NoiseError::Cancelled`].
     fn trial_chunk(
         &self,
         config: &TrajectoryConfig,
@@ -883,25 +695,24 @@ impl<'a> TrajectorySimulator<'a> {
         range
             .into_par_iter()
             .map(|i| {
-                self.run_trial_cancellable(
-                    &config.input,
-                    config.seed.wrapping_add(i as u64),
-                    cancel,
-                )
+                cancel.check()?;
+                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
+                let initial = self.draw_input(&config.input, &mut rng)?;
+                self.trial_from(initial, &mut rng, cancel)
             })
             .collect()
     }
 
     /// Runs with the requested [`Precision`]: [`Precision::FixedTrials`]
-    /// is exactly [`TrajectorySimulator::run_cancellable`] (bit-identical
-    /// aggregation included); [`Precision::TargetSigma`] runs the chunked
-    /// sequential early-stopper — see [`run_traced`](Self::run_traced) for
-    /// the loop's contract.
+    /// runs `config.trials` trials (in parallel) and aggregates them in
+    /// one pass; [`Precision::TargetSigma`] runs the chunked sequential
+    /// early-stopper — see [`run_traced`](Self::run_traced) for the loop's
+    /// contract.
     ///
     /// # Errors
     ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run`].
+    /// [`NoiseError::Cancelled`] once the token trips; otherwise an error
+    /// if the input specification is invalid for the circuit.
     pub fn run_with_precision(
         &self,
         config: &TrajectoryConfig,
@@ -985,24 +796,6 @@ impl<'a> TrajectorySimulator<'a> {
 /// look-in at a bounded cadence even when the target needs many trials.
 const MAX_ADAPTIVE_CHUNK: usize = 4096;
 
-/// Convenience entry point: simulate `circuit` under `model` with the given
-/// configuration. `config.level` selects the accounting:
-/// [`PassLevel::Physical`] (default) simulates the physically lowered
-/// circuit, [`PassLevel::NoisePreserving`] the logical ablation baseline.
-///
-/// # Errors
-///
-/// Returns an error if the model is unphysical for the circuit dimension,
-/// the level does not support noise, or the input specification is invalid.
-pub fn simulate_fidelity(
-    circuit: &Circuit,
-    model: &NoiseModel,
-    config: &TrajectoryConfig,
-) -> Result<FidelityEstimate, Box<dyn std::error::Error + Send + Sync>> {
-    let sim = TrajectorySimulator::with_level(circuit, model, config.level)?;
-    Ok(sim.run(config)?)
-}
-
 pub(crate) fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
     let n = samples.len().max(1) as f64;
     let mean = samples.iter().sum::<f64>() / n;
@@ -1032,6 +825,8 @@ pub(crate) fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
 mod tests {
     use super::*;
     use crate::models::{sc, sc_t1_gates};
+    use crate::SharedNoiseArtifacts;
+    use qudit_circuit::passes;
     use qudit_circuit::{Control, Gate};
 
     fn toffoli_fig4() -> Circuit {
@@ -1059,6 +854,24 @@ mod tests {
         }
     }
 
+    /// A simulator over `circuit` compiled at `level`, built the way the
+    /// executor builds one.
+    fn simulator(circuit: &Circuit, model: &NoiseModel, level: PassLevel) -> TrajectorySimulator {
+        let artifacts = SharedNoiseArtifacts::from_ir(&passes::compile(circuit, level)).unwrap();
+        TrajectorySimulator::from_artifacts_with(&artifacts, model, &Simulator::new()).unwrap()
+    }
+
+    /// A fixed-trials run of `circuit` under `model` at `config.level`.
+    fn simulate(
+        circuit: &Circuit,
+        model: &NoiseModel,
+        config: &TrajectoryConfig,
+    ) -> FidelityEstimate {
+        simulator(circuit, model, config.level)
+            .run_with_precision(config, &Precision::FixedTrials, &CancelToken::never())
+            .unwrap()
+    }
+
     #[test]
     fn noiseless_model_gives_unit_fidelity() {
         let c = toffoli_fig4();
@@ -1067,7 +880,7 @@ mod tests {
             trials: 5,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &model, &config).unwrap();
+        let est = simulate(&c, &model, &config);
         assert!((est.mean - 1.0).abs() < 1e-9, "mean {}", est.mean);
         assert!(est.std_error < 1e-9);
     }
@@ -1087,7 +900,7 @@ mod tests {
             trials: 5,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &noiseless_model(), &config).unwrap();
+        let est = simulate(&c, &noiseless_model(), &config);
         assert!((est.mean - 1.0).abs() < 1e-9, "mean {}", est.mean);
     }
 
@@ -1100,7 +913,7 @@ mod tests {
             seed: 7,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &model, &config).unwrap();
+        let est = simulate(&c, &model, &config);
         assert!(est.mean <= 1.0 + 1e-12);
         assert!(est.mean >= 0.0);
         // A 3-qutrit circuit under the SC model should still be quite good.
@@ -1126,8 +939,8 @@ mod tests {
             overrotation: None,
             crosstalk: None,
         };
-        let worse = simulate_fidelity(&c, &bad, &config).unwrap();
-        let better = simulate_fidelity(&c, &sc_t1_gates(), &config).unwrap();
+        let worse = simulate(&c, &bad, &config);
+        let better = simulate(&c, &sc_t1_gates(), &config);
         assert!(
             better.mean > worse.mean,
             "better {} vs worse {}",
@@ -1140,31 +953,41 @@ mod tests {
     fn all_ones_input_is_deterministic_per_seed() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
-        let f1 = sim.run_trial(&InputState::AllOnes, 99).unwrap();
-        let f2 = sim.run_trial(&InputState::AllOnes, 99).unwrap();
-        assert_eq!(f1, f2);
+        let config = TrajectoryConfig {
+            trials: 1,
+            seed: 99,
+            input: InputState::AllOnes,
+            ..TrajectoryConfig::default()
+        };
+        let f1 = simulate(&c, &model, &config).mean;
+        let f2 = simulate(&c, &model, &config).mean;
+        assert_eq!(f1.to_bits(), f2.to_bits());
     }
 
     #[test]
     fn a_tripped_token_cancels_the_run() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 64,
             ..TrajectoryConfig::default()
         };
         let token = CancelToken::new();
         token.cancel();
-        assert_eq!(
-            sim.run_cancellable(&config, &token),
-            Err(NoiseError::Cancelled)
-        );
-        // The never token leaves results identical to the plain entry point.
-        let plain = sim.run(&config).unwrap();
-        let never = sim.run_cancellable(&config, &CancelToken::never()).unwrap();
-        assert_eq!(plain.mean, never.mean);
+        for precision in [
+            Precision::FixedTrials,
+            Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 8,
+                max_trials: 64,
+            },
+        ] {
+            assert_eq!(
+                sim.run_with_precision(&config, &precision, &token),
+                Err(NoiseError::Cancelled)
+            );
+        }
     }
 
     #[test]
@@ -1196,16 +1019,15 @@ mod tests {
             level: PassLevel::NoisePreserving,
             input: InputState::AllOnes,
         };
-        let logical = simulate_fidelity(&c, &model, &config_base).unwrap();
-        let physical = simulate_fidelity(
+        let logical = simulate(&c, &model, &config_base);
+        let physical = simulate(
             &c,
             &model,
             &TrajectoryConfig {
                 level: PassLevel::Physical,
                 ..config_base
             },
-        )
-        .unwrap();
+        );
         assert!(
             physical.mean < logical.mean,
             "physical {} should be below logical {}",
@@ -1217,9 +1039,8 @@ mod tests {
     #[test]
     fn optimizing_levels_are_rejected_for_noisy_runs() {
         let c = toffoli_fig4();
-        let model = sc();
         for level in [PassLevel::Ideal, PassLevel::PhysicalIdeal] {
-            match TrajectorySimulator::with_level(&c, &model, level) {
+            match SharedNoiseArtifacts::from_ir(&passes::compile(&c, level)) {
                 Err(NoiseError::UnsupportedLevel { .. }) => {}
                 Err(other) => panic!("wrong error: {other}"),
                 Ok(_) => panic!("{} must be rejected for noisy runs", level.name()),
@@ -1236,7 +1057,7 @@ mod tests {
             &[2],
         )
         .unwrap();
-        let program = NoiseProgram::physical(&c).unwrap();
+        let program = NoiseProgram::from_ir(&passes::compile(&c, PassLevel::Physical)).unwrap();
         assert_eq!(program.circuit.len(), 13, "6 two-qudit + 7 single-qudit");
         let pairs = program
             .sites
@@ -1266,7 +1087,8 @@ mod tests {
         )
         .unwrap();
         c.push_gate(Gate::h(3), &[0]).unwrap();
-        let program = NoiseProgram::logical(&c);
+        let program =
+            NoiseProgram::from_ir(&passes::compile(&c, PassLevel::NoisePreserving)).unwrap();
         assert_eq!(program.circuit.len(), 2, "no lowering at the logical level");
         assert_eq!(program.sites[0], vec![ErrorSite::Pair([0, 1])]);
         assert_eq!(program.sites[1], vec![ErrorSite::Single(0)]);
@@ -1357,23 +1179,29 @@ mod tests {
     }
 
     #[test]
-    fn fixed_trials_precision_is_bit_identical_to_run_cancellable() {
+    fn fixed_trials_precision_is_the_single_pass_estimate_of_its_stream() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 24,
             seed: 3,
             ..TrajectoryConfig::default()
         };
         let token = CancelToken::never();
-        let fixed = sim.run_cancellable(&config, &token).unwrap();
+        let (traced, stream) = sim
+            .run_traced(&config, &Precision::FixedTrials, &token)
+            .unwrap();
+        let fixed = estimate_from_samples(&stream);
         let via_precision = sim
             .run_with_precision(&config, &Precision::FixedTrials, &token)
             .unwrap();
-        assert_eq!(fixed.mean.to_bits(), via_precision.mean.to_bits());
-        assert_eq!(fixed.std_error.to_bits(), via_precision.std_error.to_bits());
-        assert_eq!(fixed.trials, via_precision.trials);
+        assert_eq!(stream.len(), 24);
+        for est in [traced, via_precision] {
+            assert_eq!(fixed.mean.to_bits(), est.mean.to_bits());
+            assert_eq!(fixed.std_error.to_bits(), est.std_error.to_bits());
+            assert_eq!(fixed.trials, est.trials);
+        }
     }
 
     #[test]
@@ -1383,7 +1211,7 @@ mod tests {
         // At σ = 0.05 the rule-of-three floor 3/n forces n ≥ 60 trials.
         let c = toffoli_fig4();
         let model = noiseless_model();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 10_000,
             ..TrajectoryConfig::default()
@@ -1405,7 +1233,7 @@ mod tests {
     fn adaptive_run_respects_the_trial_bounds() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 10_000,
             seed: 13,
@@ -1443,7 +1271,7 @@ mod tests {
     fn traced_adaptive_stream_is_a_prefix_of_the_fixed_run() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 512,
             seed: 21,

@@ -1,52 +1,11 @@
-//! One-shot gate application: thin wrappers that build an [`ApplyPlan`] and
-//! run it, plus the retained naive reference implementation.
+//! The retained naive reference implementation of gate application.
 //!
-//! Hot paths (the simulators, the trajectory Monte Carlo loop) should build
-//! plans once and reuse them — see [`crate::kernel::ApplyPlan`] and
-//! [`crate::CompiledCircuit`]. These free functions exist for callers that
-//! apply a matrix a single time (noise-channel branches, tests, examples).
-
-use crate::kernel::ApplyPlan;
-use qudit_circuit::Operation;
-use qudit_core::{CMatrix, StateVector};
-
-/// Applies a unitary `matrix` to the listed `qudits` (most significant
-/// first) of the state vector, in place.
-///
-/// # Panics
-///
-/// Panics if the matrix size does not equal `dim^qudits.len()`, a qudit index
-/// is out of range, or a qudit index repeats.
-pub fn apply_matrix(state: &mut StateVector, matrix: &CMatrix, qudits: &[usize]) {
-    ApplyPlan::for_matrix(state.dim(), state.num_qudits(), matrix, qudits).apply(state);
-}
-
-/// [`apply_matrix`], but strictly on the calling thread.
-///
-/// For callers that are themselves one task of a coarser parallel loop
-/// (e.g. noise-channel sampling inside a trajectory trial), where per-gate
-/// fan-out would oversubscribe the machine.
-///
-/// # Panics
-///
-/// Same conditions as [`apply_matrix`].
-pub fn apply_matrix_sequential(state: &mut StateVector, matrix: &CMatrix, qudits: &[usize]) {
-    ApplyPlan::for_matrix(state.dim(), state.num_qudits(), matrix, qudits).apply_sequential(state);
-}
-
-/// Applies an [`Operation`] (gate + controls) to the state vector in place.
-///
-/// Controlled operations are applied efficiently: the kernel enumerates only
-/// the amplitude groups whose control digits match the activation levels, so
-/// the control structure shrinks the work instead of inflating the matrix.
-///
-/// # Panics
-///
-/// Panics if any qudit index is out of range for the state.
-pub fn apply_operation(state: &mut StateVector, op: &Operation) {
-    debug_assert_eq!(state.dim(), op.gate().dim(), "dimension mismatch");
-    ApplyPlan::for_operation(state.num_qudits(), op).apply(state);
-}
+//! Production code builds an [`ApplyPlan`](crate::ApplyPlan) once per
+//! operation and reuses it (see [`crate::CompiledCircuit`]); a one-shot
+//! application is `ApplyPlan::for_matrix(..).apply(state)` or
+//! `ApplyPlan::for_operation(..).apply(state)`. The `reference` module
+//! keeps the seed engine as the oracle the kernel equivalence suite checks
+//! every plan kernel against.
 
 /// The seed implementation, retained verbatim in spirit as the test oracle:
 /// it scans **all** `d^n` flat indices and filters for group representatives,
@@ -59,7 +18,8 @@ pub mod reference {
     use qudit_circuit::Operation;
     use qudit_core::{CMatrix, Complex, StateVector};
 
-    /// Naive full-scan version of [`apply_matrix`](super::apply_matrix).
+    /// Naive full-scan version of
+    /// [`ApplyPlan::for_matrix`](crate::ApplyPlan::for_matrix) + `apply`.
     ///
     /// # Panics
     ///
@@ -68,7 +28,8 @@ pub mod reference {
         apply_naive(state, matrix, qudits, &[]);
     }
 
-    /// Naive full-scan version of [`apply_operation`](super::apply_operation).
+    /// Naive full-scan version of
+    /// [`ApplyPlan::for_operation`](crate::ApplyPlan::for_operation) + `apply`.
     ///
     /// # Panics
     ///
@@ -144,20 +105,21 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ApplyPlan;
     use qudit_circuit::{Control, Gate, Operation};
-    use qudit_core::gates;
+    use qudit_core::{gates, StateVector};
 
     #[test]
     fn single_qudit_gate_on_basis_state() {
         let mut sv = StateVector::from_basis_state(3, &[0, 1]).unwrap();
-        apply_matrix(&mut sv, &gates::qutrit::x_plus_1(), &[1]);
+        ApplyPlan::for_matrix(3, 2, &gates::qutrit::x_plus_1(), &[1]).apply(&mut sv);
         assert!((sv.probability(&[0, 2]).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn gate_on_most_significant_qudit() {
         let mut sv = StateVector::from_basis_state(3, &[1, 0, 0]).unwrap();
-        apply_matrix(&mut sv, &gates::qutrit::x_plus_1(), &[0]);
+        ApplyPlan::for_matrix(3, 3, &gates::qutrit::x_plus_1(), &[0]).apply(&mut sv);
         assert!((sv.probability(&[2, 0, 0]).unwrap() - 1.0).abs() < 1e-12);
     }
 
@@ -168,7 +130,7 @@ mod tests {
         // product on the reordered space.
         let mut sv = StateVector::from_basis_state(3, &[1, 0, 1]).unwrap();
         let g = gates::controlled_matrix(3, 1, &gates::qutrit::x_plus_1());
-        apply_matrix(&mut sv, &g, &[2, 0]);
+        ApplyPlan::for_matrix(3, 3, &g, &[2, 0]).apply(&mut sv);
         // Control is qudit 2 (value 1) → target qudit 0 goes 1 → 2.
         assert!((sv.probability(&[2, 0, 1]).unwrap() - 1.0).abs() < 1e-12);
     }
@@ -191,13 +153,13 @@ mod tests {
 
         // Fast path.
         let mut fast = psi0.clone();
-        apply_operation(&mut fast, &op);
+        ApplyPlan::for_operation(4, &op).apply(&mut fast);
 
         // Reference path: build the full controlled matrix over qudits
-        // (1, 3, 2) and apply it with apply_matrix.
+        // (1, 3, 2) and apply it as a plain matrix.
         let full = op.full_matrix();
         let mut slow = psi0;
-        apply_matrix(&mut slow, &full, &[1, 3, 2]);
+        ApplyPlan::for_matrix(3, 4, &full, &[1, 3, 2]).apply(&mut slow);
 
         assert!(fast.fidelity(&slow) > 1.0 - 1e-10);
         for (a, b) in fast.amplitudes().iter().zip(slow.amplitudes()) {
@@ -209,7 +171,7 @@ mod tests {
     fn uncontrolled_operation_applies_gate() {
         let op = Operation::uncontrolled(Gate::h(3), vec![0]).unwrap();
         let mut sv = StateVector::zero_state(3, 1).unwrap();
-        apply_operation(&mut sv, &op);
+        ApplyPlan::for_operation(1, &op).apply(&mut sv);
         // H acts on levels 0/1 only: amplitudes 1/√2 on |0> and |1>.
         assert!((sv.probability(&[0]).unwrap() - 0.5).abs() < 1e-10);
         assert!((sv.probability(&[1]).unwrap() - 0.5).abs() < 1e-10);
@@ -223,20 +185,16 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(5);
         let mut sv = random_state(3, 3, &mut rng).unwrap();
-        apply_matrix(&mut sv, &gates::qutrit::h3(), &[1]);
-        apply_matrix(
-            &mut sv,
-            &gates::controlled_matrix(3, 2, &gates::qutrit::x01()),
-            &[0, 2],
-        );
+        ApplyPlan::for_matrix(3, 3, &gates::qutrit::h3(), &[1]).apply(&mut sv);
+        let cx = gates::controlled_matrix(3, 2, &gates::qutrit::x01());
+        ApplyPlan::for_matrix(3, 3, &cx, &[0, 2]).apply(&mut sv);
         assert!((sv.norm() - 1.0).abs() < 1e-10);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_qudit() {
-        let mut sv = StateVector::zero_state(3, 2).unwrap();
-        apply_matrix(&mut sv, &gates::qutrit::x01(), &[5]);
+        ApplyPlan::for_matrix(3, 2, &gates::qutrit::x01(), &[5]);
     }
 
     #[test]
@@ -262,7 +220,7 @@ mod tests {
         let mut fast = psi.clone();
         let mut slow = psi;
         for op in &ops {
-            apply_operation(&mut fast, op);
+            ApplyPlan::for_operation(5, op).apply(&mut fast);
             reference::apply_operation_naive(&mut slow, op);
         }
         for (a, b) in fast.amplitudes().iter().zip(slow.amplitudes()) {

@@ -63,7 +63,7 @@ pub mod kernel;
 mod measure;
 mod simulator;
 
-pub use apply::{apply_matrix, apply_matrix_sequential, apply_operation, reference};
+pub use apply::reference;
 pub use density::{superoperator_targets, CompiledDensityCircuit, DensityMatrix, UnitaryPlanPair};
 pub use kernel::ApplyPlan;
 pub use measure::{

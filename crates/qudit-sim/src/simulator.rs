@@ -2,7 +2,7 @@
 
 use crate::kernel::{ApplyPlan, PAR_MIN_WORK};
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
-use qudit_circuit::{Circuit, Operation, Schedule};
+use qudit_circuit::{Circuit, Operation};
 use qudit_core::{CoreResult, StateVector};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -275,10 +275,11 @@ fn build_segments(circuit: &Circuit) -> Vec<Segment> {
 ///
 /// Plans are index-aligned with the operation list they were compiled from:
 /// `plan(i)` applies operation `i`. Whole-circuit replays should compile
-/// from the *pass-transformed* IR ([`CompiledCircuit::compile_ir`] or
-/// [`Simulator::compile_optimized`]) so fused/cancelled gates never reach
-/// the kernels; compile from a raw [`Circuit`] only when an externally held
-/// [`Schedule`] must keep indexing the original op list.
+/// from the *pass-transformed* IR ([`CompiledCircuit::compile_ir`]) so
+/// fused/cancelled gates never reach the kernels; compile from a raw
+/// [`Circuit`] only when an externally held
+/// [`Schedule`](qudit_circuit::Schedule) must keep indexing the original op
+/// list.
 #[derive(Clone, Debug)]
 pub struct CompiledCircuit {
     dim: usize,
@@ -524,9 +525,9 @@ impl Simulator {
     /// given (no pass pipeline).
     ///
     /// Prefer this over [`CompiledCircuit::compile`] when several circuits
-    /// share gates: shared operations compile once. Use
-    /// [`Simulator::compile_optimized`] for whole-circuit replays, where
-    /// the pass pipeline should run first.
+    /// share gates: shared operations compile once. Whole-circuit replays
+    /// should run the pass pipeline first and compile its output
+    /// ([`qudit_circuit::passes::compile`]).
     pub fn compile(&self, circuit: &Circuit) -> CompiledCircuit {
         CompiledCircuit {
             dim: circuit.dim(),
@@ -537,19 +538,6 @@ impl Simulator {
                 .collect(),
             segments: build_segments(circuit),
         }
-    }
-
-    /// Runs the pass pipeline at `level` over the circuit, then compiles
-    /// the transformed IR through this simulator's plan cache. Returns the
-    /// compiled circuit together with the pipeline output (transformed
-    /// op list, post-pass schedule, pre/post resource report).
-    pub fn compile_optimized(
-        &self,
-        circuit: &Circuit,
-        level: PassLevel,
-    ) -> (CompiledCircuit, CompiledIr) {
-        let ir = passes::compile(circuit, level);
-        (self.compile(ir.circuit()), ir)
     }
 
     /// Runs the circuit on the all-zeros input state.
@@ -578,8 +566,8 @@ impl Simulator {
         // Resolve the whole transformed circuit against the cache up
         // front: one key build + lock round-trip per op per *compile*,
         // zero per re-run of an op that is already cached.
-        let (compiled, _) = self.compile_optimized(circuit, PassLevel::Ideal);
-        compiled.run(state)
+        let ir = passes::compile(circuit, PassLevel::Ideal);
+        self.compile(ir.circuit()).run(state)
     }
 
     /// Runs the circuit on a basis-state input given by digits.
@@ -594,40 +582,6 @@ impl Simulator {
     ) -> CoreResult<StateVector> {
         let state = StateVector::from_basis_state(circuit.dim(), digits)?;
         Ok(self.run_with_state(circuit, state))
-    }
-
-    /// Runs the circuit moment-by-moment, invoking `observer` after each
-    /// moment. This is the hook the trajectory noise simulator builds on.
-    ///
-    /// The caller owns the schedule, so the circuit is compiled exactly as
-    /// given (`schedule`'s op indices must keep referring to `circuit`'s op
-    /// list); callers wanting the pass pipeline should transform the
-    /// circuit first (`qudit_circuit::passes::compile`) and pass the
-    /// post-pass circuit + schedule here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match the circuit.
-    pub fn run_moments<F>(
-        &self,
-        circuit: &Circuit,
-        schedule: &Schedule,
-        mut state: StateVector,
-        mut observer: F,
-    ) -> StateVector
-    where
-        F: FnMut(usize, &mut StateVector),
-    {
-        assert_eq!(state.dim(), circuit.dim(), "dimension mismatch");
-        assert_eq!(state.num_qudits(), circuit.width(), "width mismatch");
-        let compiled = self.compile(circuit);
-        for (moment_idx, op_indices) in schedule.iter() {
-            for &op_idx in op_indices {
-                compiled.plan(op_idx).apply(&mut state);
-            }
-            observer(moment_idx, &mut state);
-        }
-        state
     }
 }
 
@@ -694,16 +648,6 @@ mod tests {
         let psi = random_qubit_subspace_state(3, 3, &mut rng).unwrap();
         let out = Simulator::new().run_with_state(&both, psi.clone());
         assert!(out.fidelity(&psi) > 1.0 - 1e-10);
-    }
-
-    #[test]
-    fn run_moments_observer_sees_every_moment() {
-        let c = toffoli_fig4();
-        let schedule = Schedule::asap(&c);
-        let mut seen = Vec::new();
-        let state = StateVector::zero_state(3, 3).unwrap();
-        let _ = Simulator::new().run_moments(&c, &schedule, state, |m, _| seen.push(m));
-        assert_eq!(seen, vec![0, 1, 2]);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 
 use proptest::prelude::*;
 use qudit_api::{Executor, JobSpec};
-use qudit_circuit::{Circuit, Control, Gate, PassLevel};
+use qudit_circuit::{passes, Circuit, Control, Gate, PassLevel};
 use qudit_noise::{
-    models, CancelToken, InputState, NoiseModel, Precision, TrajectoryConfig, TrajectorySimulator,
+    models, CancelToken, InputState, NoiseModel, Precision, SharedNoiseArtifacts, TrajectoryConfig,
+    TrajectorySimulator,
 };
+use qudit_sim::Simulator;
 
 fn toffoli_fig4() -> Circuit {
     let mut c = Circuit::new(3, 3);
@@ -27,8 +29,10 @@ fn toffoli_fig4() -> Circuit {
 /// bit-identical to the first N entries of a fixed-count run with the same
 /// seed — for one (model, level) pair.
 fn assert_prefix_determinism(model: &NoiseModel, level: PassLevel, seed: u64, sigma: f64) {
-    let circuit = toffoli_fig4();
-    let sim = TrajectorySimulator::with_level(&circuit, model, level).unwrap();
+    let artifacts =
+        SharedNoiseArtifacts::from_ir(&passes::compile(&toffoli_fig4(), level)).unwrap();
+    let sim =
+        TrajectorySimulator::from_artifacts_with(&artifacts, model, &Simulator::new()).unwrap();
     let config = TrajectoryConfig {
         trials: 192,
         seed,

@@ -1,9 +1,10 @@
 //! Façade-enforcement check (grep-style, as the API redesign's acceptance
-//! criterion requires): no example or bench source may construct a
-//! simulator engine directly — `TrajectorySimulator`,
-//! `DensityNoiseSimulator` and `CompiledCircuit` are internal names now;
-//! everything outside the library crates goes through
-//! `qudit_api::Executor`.
+//! criterion requires): no example or bench source, and no source of the
+//! crates built on the engine (the constructions in `crates/core`, the
+//! algorithm library, the server), may construct a simulator engine
+//! directly — `TrajectorySimulator`, `DensityNoiseSimulator` and
+//! `CompiledCircuit` are internal names now; everything outside the engine
+//! crates goes through `qudit_api::Executor`.
 
 use std::path::{Path, PathBuf};
 
@@ -33,9 +34,13 @@ fn no_example_or_bench_source_constructs_a_simulator_directly() {
     rust_sources(&root.join("examples"), &mut sources);
     rust_sources(&root.join("crates/bench/src"), &mut sources);
     rust_sources(&root.join("crates/bench/benches"), &mut sources);
+    rust_sources(&root.join("crates/core/src"), &mut sources);
+    rust_sources(&root.join("crates/qudit-algos/src"), &mut sources);
+    rust_sources(&root.join("crates/qudit-server/src"), &mut sources);
     assert!(
-        sources.len() >= 15,
-        "expected the examples plus the bench bins/benches, found {} file(s)",
+        sources.len() >= 52,
+        "expected the examples, the bench bins/benches and the core, algos and \
+         server sources, found {} file(s)",
         sources.len()
     );
 

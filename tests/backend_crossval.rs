@@ -7,11 +7,11 @@
 //! `√(F(1−F)/trials)` (per-trial fidelities lie in `[0, 1]`). The `crossval`
 //! bench binary runs the same harness at larger sizes in CI.
 
-use qudit_circuit::Circuit;
-use qudit_noise::{
-    cross_validate, models, Backend, DensityMatrixBackend, InputState, TrajectoryBackend,
-    TrajectoryConfig,
+use qudit_api::{
+    BackendKind, CrossValidation, Executor, InputState, JobSpec, NoiseModel, PassLevel, Topology,
 };
+use qudit_circuit::Circuit;
+use qudit_noise::models;
 use qutrit_toffoli::baselines::qubit_no_ancilla;
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 
@@ -19,13 +19,23 @@ fn fig4_toffoli() -> Circuit {
     n_controlled_x(2).unwrap()
 }
 
-fn fixed_input_config(trials: usize, seed: u64) -> TrajectoryConfig {
-    TrajectoryConfig {
-        trials,
-        seed,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    }
+/// Runs a noisy job at the default (physical) accounting on both backends
+/// and wraps the two results in the 3σ bound.
+fn cross_validate(
+    circuit: &Circuit,
+    model: &NoiseModel,
+    trials: usize,
+    seed: u64,
+    input: InputState,
+) -> CrossValidation {
+    let spec = JobSpec::builder(circuit.clone())
+        .noise(model.clone())
+        .trials(trials)
+        .seed(seed)
+        .input(input)
+        .build()
+        .unwrap();
+    Executor::new().cross_validate(&spec, 3.0).unwrap()
 }
 
 #[test]
@@ -33,9 +43,8 @@ fn trajectory_converges_to_exact_for_every_noise_model_on_the_fig4_toffoli() {
     // The acceptance case: every paper noise model, 3-qutrit test circuit,
     // trajectory within 3σ of the binomial bound around the exact value.
     let circuit = fig4_toffoli();
-    let config = fixed_input_config(300, 2019);
     for model in models::all_models() {
-        let cv = cross_validate(&circuit, &model, &config, 3.0).unwrap();
+        let cv = cross_validate(&circuit, &model, 300, 2019, InputState::AllOnes);
         assert!(
             cv.within_bounds(),
             "{}: trajectory {:.6} vs exact {:.6} exceeds bound {:.2e}",
@@ -52,8 +61,13 @@ fn trajectory_converges_to_exact_for_every_noise_model_on_the_fig4_toffoli() {
 fn trajectory_converges_to_exact_on_a_qubit_circuit() {
     // d = 2 coverage: the 3-controlled qubit-only baseline (4 qubits).
     let circuit = qubit_no_ancilla(3, 2).unwrap();
-    let config = fixed_input_config(300, 11);
-    let cv = cross_validate(&circuit, &models::sc_t1_gates(), &config, 3.0).unwrap();
+    let cv = cross_validate(
+        &circuit,
+        &models::sc_t1_gates(),
+        300,
+        11,
+        InputState::AllOnes,
+    );
     assert!(
         cv.within_bounds(),
         "trajectory {:.6} vs exact {:.6} exceeds bound {:.2e}",
@@ -70,7 +84,7 @@ fn trajectory_converges_to_exact_for_each_optional_channel() {
     // attributable to exactly one case. Over-rotation and crosstalk are
     // coherent (non-Pauli) channels, so this also pins the MixedUnitary
     // composition path.
-    let cases: Vec<(&str, Circuit, qudit_noise::NoiseModel)> = vec![
+    let cases: Vec<(&str, Circuit, NoiseModel)> = vec![
         (
             "leakage d=3",
             fig4_toffoli(),
@@ -105,9 +119,8 @@ fn trajectory_converges_to_exact_for_each_optional_channel() {
                 .with_crosstalk(2e4),
         ),
     ];
-    let config = fixed_input_config(300, 2019);
     for (label, circuit, model) in cases {
-        let cv = cross_validate(&circuit, &model, &config, 3.0).unwrap();
+        let cv = cross_validate(&circuit, &model, 300, 2019, InputState::AllOnes);
         assert!(
             cv.within_bounds(),
             "{label}: trajectory {:.6} vs exact {:.6} exceeds bound {:.2e}",
@@ -126,8 +139,8 @@ fn trajectory_converges_to_exact_for_each_optional_channel() {
 fn backends_agree_exactly_when_there_is_no_noise() {
     // With p1 = p2 = 0 and no T1 the trajectory draws no branches at all,
     // so the two backends must agree to numerical precision — and both must
-    // report unit fidelity.
-    let noiseless = qudit_noise::NoiseModel {
+    // report unit fidelity. Each leg runs on a fresh uncached executor.
+    let noiseless = NoiseModel {
         name: "NOISELESS".to_string(),
         p1: 0.0,
         p2: 0.0,
@@ -138,14 +151,23 @@ fn backends_agree_exactly_when_there_is_no_noise() {
         overrotation: None,
         crosstalk: None,
     };
-    let circuit = fig4_toffoli();
-    let config = fixed_input_config(5, 1);
-    let exact = DensityMatrixBackend
-        .fidelity(&circuit, &noiseless, &config)
-        .unwrap();
-    let sampled = TrajectoryBackend
-        .fidelity(&circuit, &noiseless, &config)
-        .unwrap();
+    let fidelity = |backend: BackendKind| {
+        let spec = JobSpec::builder(fig4_toffoli())
+            .noise(noiseless.clone())
+            .backend(backend)
+            .trials(5)
+            .seed(1)
+            .input(InputState::AllOnes)
+            .build()
+            .unwrap();
+        *Executor::with_result_cache(0)
+            .run(&spec)
+            .unwrap()
+            .fidelity()
+            .unwrap()
+    };
+    let exact = fidelity(BackendKind::DensityMatrix);
+    let sampled = fidelity(BackendKind::Trajectory);
     assert!((exact.mean - 1.0).abs() < 1e-10);
     assert!((sampled.mean - exact.mean).abs() < 1e-9);
 }
@@ -157,7 +179,6 @@ fn per_edge_error_rates_are_charged_by_both_backends_for_routed_swaps() {
     // edges. Poisoning the edge weights (8× the base two-qudit error) must
     // lower the exact fidelity, and the trajectory backend must agree with
     // the exact backend under the same weights.
-    use qudit_api::{Executor, JobSpec, PassLevel, Topology};
     let mut circuit = Circuit::new(3, 3);
     for _ in 0..3 {
         circuit
@@ -169,10 +190,10 @@ fn per_edge_error_rates_are_charged_by_both_backends_for_routed_swaps() {
         let spec = JobSpec::builder(circuit.clone())
             .noise(models::sc())
             .level(PassLevel::Physical)
-            .backend(qudit_noise::BackendKind::DensityMatrix)
+            .backend(BackendKind::DensityMatrix)
             .trials(1)
             .seed(7)
-            .input(qudit_noise::InputState::AllOnes)
+            .input(InputState::AllOnes)
             .topology(topology)
             .build()
             .unwrap();
@@ -194,7 +215,7 @@ fn per_edge_error_rates_are_charged_by_both_backends_for_routed_swaps() {
         .level(PassLevel::Physical)
         .trials(300)
         .seed(2019)
-        .input(qudit_noise::InputState::AllOnes)
+        .input(InputState::AllOnes)
         .topology(poisoned_topology)
         .build()
         .unwrap();
@@ -214,14 +235,13 @@ fn random_input_cross_validation_shares_input_draws() {
     // inputs (trial i uses seed + i before any noise sampling), so the only
     // disagreement left is trajectory noise sampling — the bound still
     // holds at modest trial counts.
-    let circuit = fig4_toffoli();
-    let config = TrajectoryConfig {
-        trials: 200,
-        seed: 5,
-        input: InputState::RandomQubitSubspace,
-        ..TrajectoryConfig::default()
-    };
-    let cv = cross_validate(&circuit, &models::sc(), &config, 3.0).unwrap();
+    let cv = cross_validate(
+        &fig4_toffoli(),
+        &models::sc(),
+        200,
+        5,
+        InputState::RandomQubitSubspace,
+    );
     assert!(
         cv.within_bounds(),
         "trajectory {:.6} vs exact {:.6} exceeds bound {:.2e}",

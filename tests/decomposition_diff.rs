@@ -26,10 +26,11 @@
 //!    tests see only floating-point noise.
 
 use proptest::prelude::*;
+use qudit_api::{BackendKind, Executor, InputState, JobSpec};
 use qudit_circuit::passes::{compile, PassLevel};
 use qudit_circuit::{Circuit, Control, Gate, MomentDuration, Schedule};
 use qudit_core::{random_qubit_subspace_state, random_state, StateVector};
-use qudit_noise::{models, DensityNoiseSimulator, InputState, NoiseModel, TrajectoryConfig};
+use qudit_noise::{models, NoiseModel};
 use qudit_sim::{reference, CompiledCircuit, DensityMatrix};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 use qutrit_toffoli::incrementer::incrementer;
@@ -233,17 +234,38 @@ fn virtual_diwei_fidelity(circuit: &Circuit, model: &NoiseModel, input: &StateVe
     rho.fidelity_with_pure(&ideal)
 }
 
+/// The exact backend's fidelity for a one-input physical-accounting job.
+fn physical_fidelity(
+    executor: &Executor,
+    circuit: &Circuit,
+    model: &NoiseModel,
+    seed: u64,
+    input: InputState,
+) -> f64 {
+    let spec = JobSpec::builder(circuit.clone())
+        .noise(model.clone())
+        .level(PassLevel::Physical)
+        .backend(BackendKind::DensityMatrix)
+        .trials(1)
+        .seed(seed)
+        .input(input)
+        .build()
+        .unwrap();
+    executor.run(&spec).unwrap().fidelity().unwrap().mean
+}
+
 #[test]
 fn physical_lowering_matches_virtual_diwei_accounting_for_every_model() {
     // The acceptance case: exact-backend fidelity under the lowered
     // circuit vs the independent virtual-accounting oracle, ≤ 1e-9, on all
     // 7 noise models × 3 constructions, all-|1⟩ input.
+    let executor = Executor::new();
     for (name, circuit) in diff_cases() {
         for model in models::all_models() {
-            let physical = DensityNoiseSimulator::new(&circuit, &model).unwrap();
             let input = StateVector::from_basis_state(3, &vec![1usize; circuit.width()]).unwrap();
             let f_virtual = virtual_diwei_fidelity(&circuit, &model, &input);
-            let f_physical = physical.exact_fidelity(&input);
+            let f_physical =
+                physical_fidelity(&executor, &circuit, &model, 2019, InputState::AllOnes);
             assert!(
                 (f_virtual - f_physical).abs() <= ACCOUNTING_TOL,
                 "{name}/{}: physical {f_physical:.12} vs virtual {f_virtual:.12} \
@@ -260,21 +282,21 @@ fn physical_lowering_matches_virtual_diwei_on_random_inputs() {
     // Random superposition inputs reach the |2⟩ components and interference
     // terms the all-ones case cannot; one representative model per family.
     // The input draw mirrors the production simulators' seeding, so the
-    // oracle sees exactly the state `run(&config)` evolves.
+    // oracle sees exactly the state a one-trial job with this seed evolves.
     let seed = 23u64;
-    let config = TrajectoryConfig {
-        trials: 1,
-        seed,
-        input: InputState::RandomQubitSubspace,
-        ..TrajectoryConfig::default()
-    };
+    let executor = Executor::new();
     for (name, circuit) in diff_cases() {
         for model in [models::sc_t1_gates(), models::dressed_qutrit()] {
             let mut rng = StdRng::seed_from_u64(seed);
             let input = random_qubit_subspace_state(3, circuit.width(), &mut rng).unwrap();
             let f_virtual = virtual_diwei_fidelity(&circuit, &model, &input);
-            let physical = DensityNoiseSimulator::new(&circuit, &model).unwrap();
-            let f_physical = physical.run(&config).unwrap().mean;
+            let f_physical = physical_fidelity(
+                &executor,
+                &circuit,
+                &model,
+                seed,
+                InputState::RandomQubitSubspace,
+            );
             assert!(
                 (f_virtual - f_physical).abs() <= ACCOUNTING_TOL,
                 "{name}/{}: physical {f_physical:.12} vs virtual {f_virtual:.12}",
@@ -289,14 +311,15 @@ fn trajectory_physical_stays_within_crossval_bounds() {
     // The trajectory engine on the lowered program must still converge to
     // the (lowered) exact value: the statistical gate that CI also runs at
     // larger sizes through `bench --bin crossval`.
-    let circuit = n_controlled_x(3).unwrap();
-    let config = TrajectoryConfig {
-        trials: 300,
-        seed: 2019,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    };
-    let cv = qudit_noise::cross_validate(&circuit, &models::sc_t1_gates(), &config, 3.0).unwrap();
+    let spec = JobSpec::builder(n_controlled_x(3).unwrap())
+        .noise(models::sc_t1_gates())
+        .level(PassLevel::Physical)
+        .trials(300)
+        .seed(2019)
+        .input(InputState::AllOnes)
+        .build()
+        .unwrap();
+    let cv = Executor::new().cross_validate(&spec, 3.0).unwrap();
     assert!(
         cv.within_bounds(),
         "trajectory {:.6} vs exact {:.6} exceeds bound {:.2e}",

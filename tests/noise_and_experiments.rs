@@ -9,13 +9,24 @@
 //! to be widened to ~100 trials to stop being coin flips under RNG-stream
 //! changes.)
 
-use qudit_noise::{
-    exact_fidelity, lambda_m, models, qutrit_two_qudit_reliability_ratio, InputState,
-    TrajectoryConfig,
-};
+use qudit_api::{BackendKind, Circuit, Executor, InputState, JobSpec, NoiseModel};
+use qudit_noise::{lambda_m, models, qutrit_two_qudit_reliability_ratio};
 use qutrit_toffoli::baselines::{qubit_no_ancilla, qubit_one_dirty_ancilla};
 use qutrit_toffoli::cost::{paper_depth_model, paper_two_qudit_gate_model, Construction};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
+
+/// The exact (density-matrix) fidelity of `circuit` under `model` on the
+/// all-|1⟩ input: one deterministic evolution, so no seed is involved.
+fn exact_fidelity(executor: &Executor, circuit: Circuit, model: &NoiseModel) -> f64 {
+    let spec = JobSpec::builder(circuit)
+        .noise(model.clone())
+        .backend(BackendKind::DensityMatrix)
+        .trials(1)
+        .input(InputState::AllOnes)
+        .build()
+        .unwrap();
+    executor.run(&spec).unwrap().fidelity().unwrap().mean
+}
 
 #[test]
 fn all_paper_noise_models_produce_valid_channels() {
@@ -62,23 +73,12 @@ fn figure11_ordering_holds_exactly_at_reduced_size() {
     // all-|1⟩ input), not Monte Carlo samples, so no trial count or RNG
     // stream can flip the assertion.
     let n = 4;
-    let config = TrajectoryConfig {
-        trials: 1,
-        seed: 7,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    };
     let model = models::sc();
+    let executor = Executor::new();
 
-    let qutrit = exact_fidelity(&n_controlled_x(n).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
-    let qubit = exact_fidelity(&qubit_no_ancilla(n, 2).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
-    let ancilla = exact_fidelity(&qubit_one_dirty_ancilla(n, 2).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
+    let qutrit = exact_fidelity(&executor, n_controlled_x(n).unwrap(), &model);
+    let qubit = exact_fidelity(&executor, qubit_no_ancilla(n, 2).unwrap(), &model);
+    let ancilla = exact_fidelity(&executor, qubit_one_dirty_ancilla(n, 2).unwrap(), &model);
 
     assert!(
         qutrit > ancilla && ancilla > qubit,
@@ -96,19 +96,10 @@ fn trapped_ion_qutrit_models_favour_the_dressed_qutrit_exactly() {
     // a strictly higher ground-truth fidelity than BARE_QUTRIT — no
     // tolerance band needed once sampling noise is out of the comparison.
     let n = 4;
-    let config = TrajectoryConfig {
-        trials: 1,
-        seed: 3,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    };
     let circuit = n_controlled_x(n).unwrap();
-    let bare = exact_fidelity(&circuit, &models::bare_qutrit(), &config)
-        .unwrap()
-        .mean;
-    let dressed = exact_fidelity(&circuit, &models::dressed_qutrit(), &config)
-        .unwrap()
-        .mean;
+    let executor = Executor::new();
+    let bare = exact_fidelity(&executor, circuit.clone(), &models::bare_qutrit());
+    let dressed = exact_fidelity(&executor, circuit, &models::dressed_qutrit());
     assert!(
         dressed > bare,
         "dressed ({dressed:.6}) must beat bare ({bare:.6}) exactly"

@@ -17,10 +17,11 @@
 //! kernel invocations on paper constructions (Grover, the incrementer).
 
 use proptest::prelude::*;
+use qudit_api::{BackendKind, Executor, InputState, JobSpec};
 use qudit_circuit::passes::{compile, PassLevel};
 use qudit_circuit::{Circuit, Control, Gate, Schedule};
 use qudit_core::{complex_gaussian, random_state, CMatrix, Complex};
-use qudit_noise::{exact_fidelity, models, InputState, TrajectoryConfig};
+use qudit_noise::models;
 use qudit_sim::{reference, ApplyPlan, CompiledCircuit};
 use qutrit_toffoli::grover::{grover_circuit, optimal_iterations};
 use qutrit_toffoli::incrementer::incrementer;
@@ -163,15 +164,21 @@ proptest! {
         prop_assert_eq!(ir.schedule(), &Schedule::asap(&circuit));
 
         // Exact (deterministic) backend: fidelity on the raw circuit and on
-        // the pipeline's output circuit must agree to the last bit.
-        let config = TrajectoryConfig {
-            trials: 1,
-            seed,
-            input: InputState::AllOnes,
-            ..TrajectoryConfig::default()
+        // the pipeline's output circuit must agree to the last bit. Fresh
+        // uncached executors, so both legs actually simulate.
+        let exact = |c: &Circuit| {
+            let spec = JobSpec::builder(c.clone())
+                .noise(models::sc())
+                .backend(BackendKind::DensityMatrix)
+                .trials(1)
+                .seed(seed)
+                .input(InputState::AllOnes)
+                .build()
+                .unwrap();
+            Executor::with_result_cache(0).run(&spec).unwrap().fidelity().unwrap().mean
         };
-        let raw = exact_fidelity(&circuit, &models::sc(), &config).unwrap().mean;
-        let passed = exact_fidelity(ir.circuit(), &models::sc(), &config).unwrap().mean;
+        let raw = exact(&circuit);
+        let passed = exact(ir.circuit());
         prop_assert_eq!(raw.to_bits(), passed.to_bits());
     }
 
