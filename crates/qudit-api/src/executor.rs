@@ -5,10 +5,10 @@ use crate::result::{ExecutionResult, Outcome, OutputState};
 use crate::spec::JobSpec;
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, Gate, Operation, RoutingSummary, Topology};
-use qudit_core::{random_qubit_subspace_state, StateVector};
+use qudit_core::StateVector;
 use qudit_noise::{
     BackendKind, CancelToken, CrossValidation, DensityNoiseSimulator, InputState,
-    NoiseArtifactStats, SharedNoiseArtifacts, TrajectoryConfig, TrajectorySimulator,
+    NoiseArtifactStats, Precision, SharedNoiseArtifacts, TrajectoryConfig, TrajectorySimulator,
 };
 use qudit_sim::{CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulator};
 use rand::rngs::StdRng;
@@ -529,10 +529,13 @@ impl Executor {
         canonical.into_iter().map(|u| results[u].clone()).collect()
     }
 
-    /// Cross-validates a noisy job: runs it on the exact density-matrix
-    /// backend and on the trajectory backend (same circuit compilation,
-    /// same seeded inputs) and wraps both in the standard confidence bound
-    /// — the 3σ gate CI runs on a fixed seed set.
+    /// Cross-validates a noisy job: runs it on the trajectory backend as
+    /// specified (its precision included), then on the exact
+    /// density-matrix backend over the same seeded inputs — a fixed count
+    /// of as many input draws as the trajectory leg consumed (one evolution
+    /// for a deterministic input) — and wraps both in the standard
+    /// confidence bound, the 3σ gate CI runs on a fixed seed set. Both legs
+    /// share the spec's compilation and topology.
     ///
     /// # Errors
     ///
@@ -544,12 +547,13 @@ impl Executor {
                 "cross-validation needs a noisy job (attach a noise model)",
             ));
         }
-        let leg = |backend: BackendKind| -> ApiResult<JobSpec> {
+        let leg = |backend: BackendKind, trials: usize, precision: Precision| {
             let mut builder = JobSpec::builder(spec.circuit().clone())
                 .level(spec.level())
                 .backend(backend)
                 .noise(spec.noise().expect("checked above").clone())
-                .trials(spec.trials())
+                .trials(trials)
+                .precision(precision)
                 .seed(spec.seed())
                 .input(spec.input().clone());
             // Both legs must route identically for the comparison to hold.
@@ -558,10 +562,14 @@ impl Executor {
             }
             builder.build()
         };
-        let exact_spec = leg(BackendKind::DensityMatrix)?;
-        let trajectory_spec = leg(BackendKind::Trajectory)?;
-        let exact = *self.run(&exact_spec)?.fidelity()?;
+        let trajectory_spec = leg(BackendKind::Trajectory, spec.trials(), *spec.precision())?;
         let estimate = *self.run(&trajectory_spec)?.fidelity()?;
+        let exact_spec = leg(
+            BackendKind::DensityMatrix,
+            estimate.trials,
+            Precision::FixedTrials,
+        )?;
+        let exact = *self.run(&exact_spec)?.fidelity()?;
         Ok(CrossValidation::from_runs(exact, estimate, sigmas))
     }
 
@@ -589,14 +597,8 @@ impl Executor {
                 .map(|digits| StateVector::from_basis_state(dim, digits).map_err(ApiError::from))
                 .collect();
         }
-        let input = match spec.input() {
-            InputState::RandomQubitSubspace => {
-                let mut rng = StdRng::seed_from_u64(spec.seed());
-                random_qubit_subspace_state(dim, width, &mut rng)?
-            }
-            InputState::AllOnes => StateVector::from_basis_state(dim, &vec![1usize; width])?,
-            InputState::Basis(digits) => StateVector::from_basis_state(dim, digits)?,
-        };
+        let mut rng = StdRng::seed_from_u64(spec.seed());
+        let input = spec.input().draw(dim, width, &mut rng)?;
         Ok(vec![input])
     }
 }

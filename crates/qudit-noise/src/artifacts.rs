@@ -20,7 +20,7 @@
 //! [`NoiseArtifactStats`] is surfaced through `qudit_api::Executor`.
 
 use crate::error::NoiseResult;
-use crate::kraus::CompiledChannel;
+use crate::kraus::{Channel, CompiledChannel};
 use crate::models::NoiseModel;
 use crate::trajectory::{build_noise_sites, NoiseProgram, NoiseSites};
 use qudit_circuit::passes::CompiledIr;
@@ -82,6 +82,9 @@ impl NoiseArtifactStats {
     }
 }
 
+/// One backend's site sets, keyed by model.
+type SiteMemo<T> = Mutex<HashMap<ModelKey, Arc<NoiseSites<T>>>>;
+
 /// Memoized noise artifacts for one compiled circuit (see the module doc).
 ///
 /// Everything is interior-mutable and `Sync`: the replay circuits sit
@@ -94,8 +97,8 @@ pub struct SharedNoiseArtifacts {
     program: Arc<NoiseProgram>,
     ideal: OnceLock<Arc<CompiledCircuit>>,
     noisy_density: OnceLock<Arc<CompiledDensityCircuit>>,
-    trajectory_sites: Mutex<HashMap<ModelKey, Arc<NoiseSites<CompiledChannel>>>>,
-    density_sites: Mutex<HashMap<ModelKey, Arc<NoiseSites<ApplyPlan>>>>,
+    trajectory_sites: SiteMemo<CompiledChannel>,
+    density_sites: SiteMemo<ApplyPlan>,
     sites_built: AtomicUsize,
     sites_shared: AtomicUsize,
 }
@@ -115,8 +118,8 @@ impl SharedNoiseArtifacts {
             program: Arc::new(NoiseProgram::from_ir(ir)?),
             ideal: OnceLock::new(),
             noisy_density: OnceLock::new(),
-            trajectory_sites: Mutex::new(HashMap::new()),
-            density_sites: Mutex::new(HashMap::new()),
+            trajectory_sites: SiteMemo::default(),
+            density_sites: SiteMemo::default(),
             sites_built: AtomicUsize::new(0),
             sites_shared: AtomicUsize::new(0),
         })
@@ -155,24 +158,10 @@ impl SharedNoiseArtifacts {
         &self,
         model: &NoiseModel,
     ) -> NoiseResult<Arc<NoiseSites<CompiledChannel>>> {
-        let key = ModelKey::of(model);
-        if let Some(sites) = self.trajectory_sites.lock().expect("sites map").get(&key) {
-            self.sites_shared.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(sites));
-        }
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        let built = Arc::new(build_noise_sites(&self.program, model, |c, qudits| {
+        let (d, n) = (self.program.circuit.dim(), self.program.circuit.width());
+        self.memo_sites(&self.trajectory_sites, model, |c, qudits| {
             c.compile(d, n, qudits)
-        })?);
-        self.sites_built.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(
-            self.trajectory_sites
-                .lock()
-                .expect("sites map")
-                .entry(key)
-                .or_insert(built),
-        ))
+        })
     }
 
     /// The density engine's per-site superoperator plans under `model`,
@@ -185,28 +174,35 @@ impl SharedNoiseArtifacts {
         &self,
         model: &NoiseModel,
     ) -> NoiseResult<Arc<NoiseSites<ApplyPlan>>> {
-        let key = ModelKey::of(model);
-        if let Some(sites) = self.density_sites.lock().expect("sites map").get(&key) {
-            self.sites_shared.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(sites));
-        }
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        let built = Arc::new(build_noise_sites(&self.program, model, |c, qudits| {
+        let (d, n) = (self.program.circuit.dim(), self.program.circuit.width());
+        self.memo_sites(&self.density_sites, model, |c, qudits| {
             ApplyPlan::for_matrix(
                 d,
                 2 * n,
                 &c.superoperator(),
                 &superoperator_targets(qudits, n),
             )
-        })?);
+        })
+    }
+
+    /// The site set `memo` holds for `model`, building it with `build` on
+    /// the first request: the build runs outside the lock, the first insert
+    /// wins, and the counters record whether the request built or shared.
+    fn memo_sites<T>(
+        &self,
+        memo: &SiteMemo<T>,
+        model: &NoiseModel,
+        build: impl FnMut(&Channel, &[usize]) -> T,
+    ) -> NoiseResult<Arc<NoiseSites<T>>> {
+        let key = ModelKey::of(model);
+        if let Some(sites) = memo.lock().expect("sites map").get(&key) {
+            self.sites_shared.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(sites));
+        }
+        let built = Arc::new(build_noise_sites(&self.program, model, build)?);
         self.sites_built.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::clone(
-            self.density_sites
-                .lock()
-                .expect("sites map")
-                .entry(key)
-                .or_insert(built),
+            memo.lock().expect("sites map").entry(key).or_insert(built),
         ))
     }
 

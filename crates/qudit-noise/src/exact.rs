@@ -1,15 +1,14 @@
 //! Exact (density-matrix) noise simulation.
 //!
 //! Evolves `ρ` through the same noisy process the trajectory Monte Carlo
-//! samples — the same `NoiseProgram`: per frame, the gate unitaries, then
-//! one gate-error channel per gate, then the frame's idle error — but
-//! applies every channel *exactly* as its superoperator `Σᵢ Kᵢ ⊗ conj(Kᵢ)`
-//! instead of drawing one branch. The resulting fidelity
-//! `⟨ψ_ideal|ρ|ψ_ideal⟩` is the ground-truth value the trajectory estimates
-//! converge to; the cross-validation gate (`Executor::cross_validate` in
-//! `qudit-api`) asserts exactly that, and the `decomposition_diff` suite
-//! asserts the physically lowered program agrees with an independent
-//! virtual-accounting oracle to ≤ 1e-9.
+//! samples — the same `NoiseProgram`, replayed through the same frame loop
+//! (`NoiseProgram::replay`) — but applies every channel *exactly* as its
+//! superoperator `Σᵢ Kᵢ ⊗ conj(Kᵢ)` instead of drawing one branch. The
+//! resulting fidelity `⟨ψ_ideal|ρ|ψ_ideal⟩` is the ground-truth value the
+//! trajectory estimates converge to; the cross-validation gate
+//! (`Executor::cross_validate` in `qudit-api`) asserts exactly that, and the
+//! `decomposition_diff` suite asserts the physically lowered program agrees
+//! with an independent virtual-accounting oracle to ≤ 1e-9.
 //!
 //! Cost: `d^2n` entries instead of `d^n` amplitudes, so this is the small-n
 //! oracle (≲ 6–7 qutrits) while trajectories remain the scalable engine.
@@ -18,14 +17,13 @@ use crate::cancel::CancelToken;
 use crate::error::NoiseResult;
 use crate::models::NoiseModel;
 use crate::trajectory::{
-    estimate_from_samples, FidelityEstimate, InputState, NoiseProgram, NoiseSites, Precision,
-    TrajectoryConfig, Welford,
+    run_to_precision, FidelityEstimate, InputState, NoiseProgram, NoiseSites, NoisyState,
+    Precision, TrajectoryConfig,
 };
-use qudit_core::{random_qubit_subspace_state, CoreError, StateVector};
+use qudit_core::StateVector;
 use qudit_sim::{ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// An exact density-matrix noise simulator bound to a compiled circuit and
@@ -81,136 +79,49 @@ impl DensityNoiseSimulator {
     ///
     /// Returns [`NoiseError::Cancelled`](crate::NoiseError::Cancelled) once
     /// the token trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match the circuit.
-    fn evolve_cancellable(
-        &self,
-        initial: &StateVector,
-        cancel: &CancelToken,
-    ) -> NoiseResult<DensityMatrix> {
-        let mut rho = DensityMatrix::from_pure(initial);
-        for (frame_idx, frame) in self.program.frames.iter().enumerate() {
-            cancel.check()?;
-            for &op_idx in &frame.ops {
-                self.noisy.pair(op_idx).apply(&mut rho);
-            }
-            for &op_idx in &frame.ops {
-                self.sites
-                    .for_op_sites(&self.program.sites[op_idx], |plan| rho.apply_plan(plan));
-            }
-            if let Some(sites) = self.sites.idle.get(&frame.duration) {
-                for site in sites {
-                    rho.apply_plan(site);
-                }
-            }
-            // Crosstalk at the same point in the frame as the trajectory
-            // loop. The channel is unitary, so the two loops' different
-            // renormalisation cadence cannot make them disagree.
-            if !self.sites.crosstalk.is_empty() {
-                for pair in &self.program.crosstalk_pairs[frame_idx] {
-                    if let Some(plan) = self.sites.crosstalk.get(&(frame.duration, *pair)) {
-                        rho.apply_plan(plan);
-                    }
-                }
-            }
-        }
+    fn evolve(&self, initial: &StateVector, cancel: &CancelToken) -> NoiseResult<DensityMatrix> {
+        let mut evolution = Evolution {
+            noisy: &self.noisy,
+            rho: DensityMatrix::from_pure(initial),
+        };
+        self.program.replay(&self.sites, &mut evolution, cancel)?;
         // The evolution is CPTP, so this only corrects the accumulated
         // floating-point drift of the trace.
-        rho.renormalize();
-        Ok(rho)
+        evolution.rho.renormalize();
+        Ok(evolution.rho)
     }
 
-    /// Draws the initial state for input-sample `i`, consuming the RNG the
-    /// same way trajectory trial `i` does — so an exact run and a trajectory
-    /// run with the same config see the *same* random inputs and differ only
-    /// in how noise is accounted.
-    fn draw_input(&self, input: &InputState, seed: u64) -> Result<StateVector, CoreError> {
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        match input {
-            InputState::RandomQubitSubspace => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                random_qubit_subspace_state(d, n, &mut rng)
-            }
-            InputState::AllOnes => StateVector::from_basis_state(d, &vec![1usize; n]),
-            InputState::Basis(digits) => StateVector::from_basis_state(d, digits),
-        }
-    }
-
-    /// Runs the exact simulation for the configured input distribution,
-    /// checking `cancel` between frames of every evolution.
-    ///
-    /// For a fixed input ([`InputState::AllOnes`] / [`InputState::Basis`])
-    /// the result is a single deterministic value (`std_error` 0, one
-    /// "trial"). For [`InputState::RandomQubitSubspace`] the exact fidelity
-    /// is averaged over `config.trials` seeded input draws — deterministic
-    /// for a fixed seed, with `std_error` reflecting input variation only
-    /// (the noise itself contributes none); the sweep short-circuits on the
-    /// first cancellation.
-    fn run_cancellable(
+    /// The exact fidelity of input draw `i` (seeded `seed + i`, as
+    /// trajectory trial `i` draws its input): the ideal output against the
+    /// evolved `ρ`.
+    fn draw_fidelity(
         &self,
         config: &TrajectoryConfig,
+        i: usize,
         cancel: &CancelToken,
-    ) -> NoiseResult<FidelityEstimate> {
-        match &config.input {
-            InputState::RandomQubitSubspace => {
-                let fidelities = self.input_chunk(config, 0..config.trials, cancel)?;
-                Ok(estimate_from_samples(&fidelities))
-            }
-            input => {
-                let initial = self.draw_input(input, config.seed)?;
-                let ideal = self.ideal.run_sequential(initial.clone());
-                // Exact evolution of one fixed input: the value is ground
-                // truth with genuinely zero sampling error, so no binomial
-                // floor applies here.
-                Ok(FidelityEstimate {
-                    mean: self
-                        .evolve_cancellable(&initial, cancel)?
-                        .fidelity_with_pure(&ideal),
-                    std_error: 0.0,
-                    trials: 1,
-                })
-            }
-        }
+    ) -> NoiseResult<f64> {
+        let circuit = &self.program.circuit;
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
+        let initial = config
+            .input
+            .draw(circuit.dim(), circuit.width(), &mut rng)?;
+        let ideal = self.ideal.run_sequential(initial.clone());
+        Ok(self.evolve(&initial, cancel)?.fidelity_with_pure(&ideal))
     }
 
-    /// Evaluates the exact fidelity for input draws of one index range, in
-    /// index order — draw `i` uses `seed + i`, mirroring the trajectory
-    /// engine's per-trial seeding.
-    fn input_chunk(
-        &self,
-        config: &TrajectoryConfig,
-        range: std::ops::Range<usize>,
-        cancel: &CancelToken,
-    ) -> NoiseResult<Vec<f64>> {
-        range
-            .into_par_iter()
-            .map(|i| {
-                cancel.check()?;
-                let input = self.draw_input(&config.input, config.seed.wrapping_add(i as u64))?;
-                let ideal = self.ideal.run_sequential(input.clone());
-                Ok(self
-                    .evolve_cancellable(&input, cancel)?
-                    .fidelity_with_pure(&ideal))
-            })
-            .collect()
-    }
-
-    /// Runs with the requested [`Precision`], mirroring the trajectory
-    /// engine's adaptive loop where it makes sense:
+    /// Runs with the requested [`Precision`], checking `cancel` between
+    /// frames of every evolution.
     ///
-    /// * [`Precision::FixedTrials`] — one evolution for a deterministic
-    ///   input, or the mean over `config.trials` seeded input draws for
-    ///   random inputs.
-    /// * [`Precision::TargetSigma`] with a **deterministic input**
-    ///   ([`InputState::AllOnes`] / [`InputState::Basis`]) — the cheap
-    ///   fixed-cost path: the exact value has no sampling error at all, so
-    ///   one evolution *is* the answer at any requested precision.
-    /// * [`Precision::TargetSigma`] with random inputs — the chunked
-    ///   early-stopper over input draws (the only stochastic axis the
-    ///   exact backend has), Welford-merged like the trajectory loop.
+    /// * A **deterministic input** ([`InputState::AllOnes`] /
+    ///   [`InputState::Basis`]) is one evolution at any precision: the
+    ///   value is ground truth with genuinely zero sampling error
+    ///   (`std_error` 0, one "trial").
+    /// * **Random inputs** run the trajectory engine's precision loop over
+    ///   seeded input draws (the only stochastic axis the exact backend
+    ///   has): [`Precision::FixedTrials`] averages `config.trials` draws,
+    ///   [`Precision::TargetSigma`] stops early once the conservative error
+    ///   bar meets the target. `std_error` reflects input variation only;
+    ///   the noise itself contributes none.
     ///
     /// # Errors
     ///
@@ -223,36 +134,39 @@ impl DensityNoiseSimulator {
         precision: &Precision,
         cancel: &CancelToken,
     ) -> NoiseResult<FidelityEstimate> {
-        let (sigma, min_trials, max_trials) = match *precision {
-            Precision::FixedTrials => return self.run_cancellable(config, cancel),
-            Precision::TargetSigma {
-                sigma,
-                min_trials,
-                max_trials,
-            } => (sigma, min_trials.max(1), max_trials.max(min_trials.max(1))),
-        };
-        if !matches!(config.input, InputState::RandomQubitSubspace) {
-            return self.run_cancellable(config, cancel);
+        if config.input == InputState::RandomQubitSubspace {
+            return run_to_precision(config.trials, precision, cancel, None, |i| {
+                self.draw_fidelity(config, i, cancel)
+            });
         }
-        let mut agg = Welford::new();
-        let mut done = 0usize;
-        let mut next = min_trials.min(max_trials);
-        while done < max_trials {
-            let end = (done + next).min(max_trials);
-            let samples = self.input_chunk(config, done..end, cancel)?;
-            let mut chunk = Welford::new();
-            for &f in &samples {
-                chunk.push(f);
-            }
-            agg.merge(&chunk);
-            done = end;
-            if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
-                break;
-            }
-            next = done;
-        }
-        Ok(agg.estimate())
+        // No binomial floor: one exact evolution has no sampling error.
+        Ok(FidelityEstimate {
+            mean: self.draw_fidelity(config, 0, cancel)?,
+            std_error: 0.0,
+            trials: 1,
+        })
     }
+}
+
+/// A density evolution's noisy state: `ρ` and the shared `U·ρ·U†` plans.
+struct Evolution<'a> {
+    noisy: &'a CompiledDensityCircuit,
+    rho: DensityMatrix,
+}
+
+impl NoisyState for Evolution<'_> {
+    type Site = ApplyPlan;
+
+    fn unitary(&mut self, op: usize) {
+        self.noisy.pair(op).apply(&mut self.rho);
+    }
+
+    fn channel(&mut self, site: &ApplyPlan) {
+        self.rho.apply_plan(site);
+    }
+
+    /// Nothing: ρ is renormalised once, after the last frame.
+    fn end_frame(&mut self) {}
 }
 
 #[cfg(test)]
@@ -291,8 +205,7 @@ mod tests {
 
     fn evolve(sim: &DensityNoiseSimulator, digits: &[usize]) -> DensityMatrix {
         let input = StateVector::from_basis_state(3, digits).unwrap();
-        sim.evolve_cancellable(&input, &CancelToken::never())
-            .unwrap()
+        sim.evolve(&input, &CancelToken::never()).unwrap()
     }
 
     #[test]
@@ -381,6 +294,56 @@ mod tests {
                 Err(NoiseError::Cancelled)
             );
         }
+    }
+
+    #[test]
+    fn an_unreachable_target_runs_max_trials_over_the_fixed_draws() {
+        let sim = simulator(&toffoli_fig4(), &sc());
+        let config = TrajectoryConfig {
+            trials: 40,
+            seed: 3,
+            ..TrajectoryConfig::default()
+        };
+        let token = CancelToken::never();
+        let capped = sim
+            .run_with_precision(
+                &config,
+                &Precision::TargetSigma {
+                    sigma: 1e-9,
+                    min_trials: 4,
+                    max_trials: 40,
+                },
+                &token,
+            )
+            .unwrap();
+        let fixed = sim
+            .run_with_precision(&config, &Precision::FixedTrials, &token)
+            .unwrap();
+        assert_eq!(capped.trials, 40);
+        assert!((capped.mean - fixed.mean).abs() <= 1e-12);
+    }
+
+    #[test]
+    fn a_loose_target_stops_early_within_its_bound() {
+        let sim = simulator(&toffoli_fig4(), &sc());
+        let config = TrajectoryConfig {
+            trials: 4096,
+            seed: 3,
+            ..TrajectoryConfig::default()
+        };
+        let est = sim
+            .run_with_precision(
+                &config,
+                &Precision::TargetSigma {
+                    sigma: 0.05,
+                    min_trials: 8,
+                    max_trials: 4096,
+                },
+                &CancelToken::never(),
+            )
+            .unwrap();
+        assert!((8..4096).contains(&est.trials), "ran {} draws", est.trials);
+        assert!(est.conservative_sigma() <= 0.05);
     }
 
     #[test]

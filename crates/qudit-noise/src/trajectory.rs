@@ -14,9 +14,14 @@
 //! 1. applies every operation's unitary,
 //! 2. applies every operation's gate-error channel — **one error per gate,
 //!    on the gate's own qudits** (single-qudit depolarizing for 1-qudit
-//!    gates, two-qudit depolarizing for 2-qudit gates), and
+//!    gates, two-qudit depolarizing for 2-qudit gates),
 //! 3. applies the idle amplitude-damping error to every qudit for the
-//!    frame's duration.
+//!    frame's duration, and
+//! 4. applies the crosstalk phases between the frame's busy adjacent pairs.
+//!
+//! That order is written once, in [`NoiseProgram::replay`]; the exact
+//! density-matrix engine replays through the same loop, so the two engines
+//! charge the same channels in the same order.
 //!
 //! The default program is built from a circuit compiled through the
 //! compiler's [`PassLevel::Physical`] pipeline, which lowers every
@@ -32,11 +37,12 @@
 //! `decomposition_diff` differential suite pins that equality at ≤ 1e-9
 //! against an independent oracle across every noise model.
 //!
-//! ## The pass-level knob
+//! ## Pass level
 //!
-//! Which accounting a simulation uses is selected by the compiler's
-//! [`PassLevel`], threaded through [`TrajectoryConfig::level`] (and, one
-//! layer up, through the `qudit-api` job façade):
+//! Which accounting a simulation uses follows the compiler [`PassLevel`]
+//! of the IR its [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts)
+//! were built from (one layer up, the `qudit-api` job façade compiles each
+//! job at its spec's level):
 //!
 //! * [`PassLevel::Physical`] (default) — the lowered accounting above.
 //! * [`PassLevel::NoisePreserving`] — the *logical* ablation: the circuit
@@ -45,10 +51,10 @@
 //!   operations), with idle durations from the unexpanded schedule. This is
 //!   the optimistic baseline the paper's ablation compares against.
 //! * The optimizing levels (`Ideal`, `PhysicalIdeal`) change which errors
-//!   would be charged, so noisy runs reject them with a typed error.
+//!   would be charged, so building noise artifacts from them fails with a
+//!   typed error.
 //!
-//! PR 4's deprecated `GateExpansion` virtual-accounting shim is gone; the
-//! differential suite now carries its own oracle.
+//! [`TrajectoryConfig::level`] selects nothing: neither backend reads it.
 
 use crate::cancel::CancelToken;
 use crate::error::{NoiseError, NoiseResult};
@@ -77,6 +83,29 @@ pub enum InputState {
     Basis(Vec<usize>),
 }
 
+impl InputState {
+    /// Draws one initial state of `width` qudits of dimension `dim`. Only
+    /// [`InputState::RandomQubitSubspace`] consumes `rng`. Both noise
+    /// engines seed draw `i` with `seed + i`, so an exact run and a
+    /// trajectory run of the same config see the same inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a basis state does not fit `dim` and `width`.
+    pub fn draw<R: Rng + ?Sized>(
+        &self,
+        dim: usize,
+        width: usize,
+        rng: &mut R,
+    ) -> Result<StateVector, CoreError> {
+        match self {
+            InputState::RandomQubitSubspace => random_qubit_subspace_state(dim, width, rng),
+            InputState::AllOnes => StateVector::from_basis_state(dim, &vec![1usize; width]),
+            InputState::Basis(digits) => StateVector::from_basis_state(dim, digits),
+        }
+    }
+}
+
 /// Configuration for a trajectory simulation run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrajectoryConfig {
@@ -84,10 +113,11 @@ pub struct TrajectoryConfig {
     pub trials: usize,
     /// Base RNG seed; trial `i` uses `seed + i`.
     pub seed: u64,
-    /// The compiler pass level selecting the noise accounting:
-    /// [`PassLevel::Physical`] (default) simulates the Di & Wei-lowered
-    /// circuit; [`PassLevel::NoisePreserving`] is the logical-granularity
-    /// ablation. Optimizing levels are rejected for noisy runs.
+    /// The pass level the caller compiled the circuit at. Neither backend
+    /// reads it: the noise accounting follows the level of the IR the
+    /// [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts) were built
+    /// from ([`PassLevel::Physical`] for the Di & Wei-lowered circuit,
+    /// [`PassLevel::NoisePreserving`] for the logical ablation).
     pub level: PassLevel,
     /// Input-state distribution.
     pub input: InputState,
@@ -272,8 +302,8 @@ pub(crate) struct ProgramFrame {
 pub(crate) struct NoiseProgram {
     pub(crate) circuit: Circuit,
     pub(crate) frames: Vec<ProgramFrame>,
-    /// Per-operation gate-error sites, index-aligned with the circuit.
-    pub(crate) sites: Vec<Vec<ErrorSite>>,
+    /// Per-operation gate-error site, index-aligned with the circuit.
+    pub(crate) sites: Vec<Option<ErrorSite>>,
     /// Per-frame qudit pairs a crosstalk-enabled model couples: sorted
     /// `u < v` pairs whose both endpoints are busy in the frame and — when
     /// the IR carries a topology — adjacent on it. Model-independent, so
@@ -287,17 +317,16 @@ pub(crate) struct NoiseProgram {
 }
 
 impl NoiseProgram {
-    /// Builds the program from an already-compiled IR, dispatching on the
-    /// level the IR was compiled at:
+    /// Builds the program from an already-compiled IR. Every operation of
+    /// the IR's circuit charges one gate error (see `op_site`); the level
+    /// the IR was compiled at decides only the frame partition:
     ///
-    /// * [`PassLevel::Physical`] — the lowered accounting: one gate error
-    ///   per lowered gate on the gate's own qudits, idle durations measured
-    ///   from the lowered frame schedule.
-    /// * [`PassLevel::NoisePreserving`] — the logical ablation: one error
-    ///   per operation on its own qudits (the first two qudits for
-    ///   ≥2-qudit operations), idle durations from the unexpanded schedule.
-    ///   This is the optimistic baseline the paper's accounting ablation
-    ///   compares against.
+    /// * [`PassLevel::Physical`] — the lowered accounting: the recorded
+    ///   frames of the lowered circuit, so idle durations are measured from
+    ///   the Di & Wei expansion.
+    /// * [`PassLevel::NoisePreserving`] — the logical ablation: one frame
+    ///   per unexpanded moment. This is the optimistic baseline the paper's
+    ///   accounting ablation compares against.
     ///
     /// The pass pipeline (including the Di & Wei eigendecompositions) runs
     /// before this, once per structurally distinct circuit in the
@@ -309,48 +338,37 @@ impl NoiseProgram {
     /// and [`NoiseError::Simulation`] if a ≥3-qudit operation could not be
     /// lowered (multi-target high-arity operations).
     pub(crate) fn from_ir(ir: &CompiledIr) -> NoiseResult<NoiseProgram> {
-        match ir.report().level {
-            PassLevel::NoisePreserving => Ok(Self::logical_from_ir(ir)),
+        let frames = match ir.report().level {
             PassLevel::Physical => {
-                let frames = ir
-                    .frames()
-                    .expect("the Physical pipeline always records frames");
-                let circuit = ir.circuit().clone();
-                if let Some(op) = circuit.iter().find(|op| op.arity() >= 3) {
+                if let Some(op) = ir.circuit().iter().find(|op| op.arity() >= 3) {
                     return Err(NoiseError::Simulation {
                         reason: format!("operation {op} could not be lowered to arity ≤ 2"),
                     });
                 }
-                let sites = circuit.iter().map(uniform_sites).collect();
-                let frames = program_frames(frames);
-                let crosstalk_pairs = crosstalk_pairs(&circuit, &frames, ir.topology());
-                Ok(NoiseProgram {
-                    circuit,
-                    frames,
-                    sites,
-                    crosstalk_pairs,
-                    edge_quality: edge_quality_map(ir.topology()),
+                program_frames(
+                    ir.frames()
+                        .expect("the Physical pipeline always records frames"),
+                )
+            }
+            PassLevel::NoisePreserving => {
+                program_frames(&FrameSchedule::from_moments(ir.schedule(), false))
+            }
+            level => {
+                return Err(NoiseError::UnsupportedLevel {
+                    level: level.name(),
                 })
             }
-            level => Err(NoiseError::UnsupportedLevel {
-                level: level.name(),
-            }),
-        }
-    }
-
-    fn logical_from_ir(ir: &CompiledIr) -> NoiseProgram {
-        let frames = FrameSchedule::from_moments(ir.schedule(), false);
+        };
         let circuit = ir.circuit().clone();
-        let sites = circuit.iter().map(logical_sites).collect();
-        let frames = program_frames(&frames);
+        let sites = circuit.iter().map(op_site).collect();
         let crosstalk_pairs = crosstalk_pairs(&circuit, &frames, ir.topology());
-        NoiseProgram {
+        Ok(NoiseProgram {
             circuit,
             frames,
             sites,
             crosstalk_pairs,
             edge_quality: edge_quality_map(ir.topology()),
-        }
+        })
     }
 
     /// Every qudit pair the program's gate errors charge, in first-use
@@ -358,12 +376,10 @@ impl NoiseProgram {
     fn charged_pairs(&self) -> Vec<[usize; 2]> {
         let mut seen = std::collections::HashSet::new();
         let mut pairs = Vec::new();
-        for sites in &self.sites {
-            for site in sites {
-                if let ErrorSite::Pair(pair) = site {
-                    if seen.insert(*pair) {
-                        pairs.push(*pair);
-                    }
+        for site in self.sites.iter().flatten() {
+            if let ErrorSite::Pair(pair) = site {
+                if seen.insert(*pair) {
+                    pairs.push(*pair);
                 }
             }
         }
@@ -434,27 +450,16 @@ fn edge_quality_map(topology: Option<&Topology>) -> HashMap<[usize; 2], f64> {
         .collect()
 }
 
-/// The uniform (physical) site rule: a gate charges one error on its own
-/// qudits. No arity dispatch — the compiler guarantees arity ≤ 2.
-fn uniform_sites(op: &Operation) -> Vec<ErrorSite> {
-    let qudits = op.qudits();
-    match qudits.len() {
-        0 => Vec::new(),
-        1 => vec![ErrorSite::Single(qudits[0])],
-        2 => vec![ErrorSite::Pair([qudits[0], qudits[1]])],
-        _ => unreachable!("physical programs are lowered to arity ≤ 2"),
-    }
-}
-
-/// The logical-ablation site rule: one error per operation regardless of
-/// arity — single-qudit channel for 1-qudit ops, one two-qudit channel on
-/// the first two qudits otherwise.
-fn logical_sites(op: &Operation) -> Vec<ErrorSite> {
-    let qudits = op.qudits();
-    match qudits.len() {
-        0 => Vec::new(),
-        1 => vec![ErrorSite::Single(qudits[0])],
-        _ => vec![ErrorSite::Pair([qudits[0], qudits[1]])],
+/// The site rule: an operation charges one error on its own qudits — the
+/// single-qudit channel for a 1-qudit operation, one two-qudit channel on
+/// its first two qudits otherwise. Only the logical ablation holds
+/// operations of arity ≥ 3: a Physical program rejects them before its
+/// sites are built.
+fn op_site(op: &Operation) -> Option<ErrorSite> {
+    match op.qudits()[..] {
+        [] => None,
+        [q] => Some(ErrorSite::Single(q)),
+        [q0, q1, ..] => Some(ErrorSite::Pair([q0, q1])),
     }
 }
 
@@ -482,8 +487,8 @@ fn duration_seconds(duration: FrameDuration, model: &NoiseModel) -> f64 {
 /// Noise channels materialised per application *site*: one artifact per
 /// qudit for single-qudit channels, one per qudit pair the program can
 /// touch for two-qudit channels, and one per (frame duration, qudit) for
-/// idle channels. Built once per run; the replay loops only look up and
-/// apply.
+/// idle channels. Built once per model; the replay loop only looks up and
+/// applies.
 ///
 /// `T` is the backend-specific per-site artifact: [`CompiledChannel`]
 /// (branch plans) for the trajectory engine, a superoperator
@@ -504,19 +509,62 @@ pub(crate) struct NoiseSites<T> {
     pub(crate) crosstalk: HashMap<(FrameDuration, [usize; 2]), T>,
 }
 
-impl<T> NoiseSites<T> {
-    /// Applies `f` to every gate-error site of one operation, resolving
-    /// the per-site artifact.
-    pub(crate) fn for_op_sites(&self, sites: &[ErrorSite], mut f: impl FnMut(&T)) {
-        for site in sites {
-            match site {
-                ErrorSite::Single(q) => f(&self.single_gate[*q]),
-                ErrorSite::Pair(pair) => f(self
-                    .two_gate
-                    .get(pair)
-                    .expect("pair compiled at construction")),
+/// A backend's noisy state as [`NoiseProgram::replay`] drives it: the
+/// three things the two engines do differently inside a frame.
+pub(crate) trait NoisyState {
+    /// The backend's per-site channel artifact.
+    type Site;
+    /// Applies operation `op`'s unitary.
+    fn unitary(&mut self, op: usize);
+    /// Applies one channel site.
+    fn channel(&mut self, site: &Self::Site);
+    /// Closes a frame.
+    fn end_frame(&mut self);
+}
+
+impl NoiseProgram {
+    /// Replays the noisy process on `state`, frame by frame: every
+    /// operation's unitary, then each operation's gate error in op order,
+    /// then the idle error on every qudit for the frame's duration, then
+    /// the crosstalk phases between the frame's coupled pairs. `cancel` is
+    /// checked before each frame. This is the one frame loop: both engines
+    /// replay through it, so they charge the same channels in the same
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`NoiseError::Cancelled`] once the token trips.
+    pub(crate) fn replay<S: NoisyState>(
+        &self,
+        sites: &NoiseSites<S::Site>,
+        state: &mut S,
+        cancel: &CancelToken,
+    ) -> NoiseResult<()> {
+        for (frame, coupled) in self.frames.iter().zip(&self.crosstalk_pairs) {
+            cancel.check()?;
+            for &op in &frame.ops {
+                state.unitary(op);
             }
+            for site in frame.ops.iter().filter_map(|&op| self.sites[op]) {
+                state.channel(match site {
+                    ErrorSite::Single(q) => &sites.single_gate[q],
+                    ErrorSite::Pair(pair) => sites
+                        .two_gate
+                        .get(&pair)
+                        .expect("pair compiled at construction"),
+                });
+            }
+            for site in sites.idle.get(&frame.duration).into_iter().flatten() {
+                state.channel(site);
+            }
+            for pair in coupled {
+                if let Some(site) = sites.crosstalk.get(&(frame.duration, *pair)) {
+                    state.channel(site);
+                }
+            }
+            state.end_frame();
         }
+        Ok(())
     }
 }
 
@@ -621,86 +669,23 @@ impl TrajectorySimulator {
         })
     }
 
-    /// Draws an initial state according to the configured input kind.
-    fn draw_input<R: Rng + ?Sized>(
-        &self,
-        input: &InputState,
-        rng: &mut R,
-    ) -> Result<StateVector, CoreError> {
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        match input {
-            InputState::RandomQubitSubspace => random_qubit_subspace_state(d, n, rng),
-            InputState::AllOnes => StateVector::from_basis_state(d, &vec![1usize; n]),
-            InputState::Basis(digits) => StateVector::from_basis_state(d, digits),
-        }
-    }
-
-    /// One trial: ideal + noisy evolution from a drawn initial state,
-    /// checking `cancel` between frames. Only possible error is
-    /// [`NoiseError::Cancelled`].
-    fn trial_from(
-        &self,
-        initial: StateVector,
-        rng: &mut StdRng,
-        cancel: &CancelToken,
-    ) -> NoiseResult<f64> {
-        // Ideal (noise-free) evolution, through the shared compiled plans.
+    /// Trial `i`: one RNG seeded with `seed + i` draws the input and then
+    /// every noise branch; the fidelity compares the ideal and the noisy
+    /// replay of that input.
+    fn trial(&self, config: &TrajectoryConfig, i: usize, cancel: &CancelToken) -> NoiseResult<f64> {
+        let circuit = &self.program.circuit;
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
+        let initial = config
+            .input
+            .draw(circuit.dim(), circuit.width(), &mut rng)?;
         let ideal = self.compiled.run_sequential(initial.clone());
-
-        // Noisy evolution, frame by frame: unitaries, then the frame's
-        // gate errors, then the idle error for the frame's duration, then
-        // the crosstalk phases between the frame's busy adjacent pairs.
-        let mut noisy = initial;
-        for (frame_idx, frame) in self.program.frames.iter().enumerate() {
-            cancel.check()?;
-            for &op_idx in &frame.ops {
-                self.compiled.plan(op_idx).apply_sequential(&mut noisy);
-            }
-            for &op_idx in &frame.ops {
-                self.channels
-                    .for_op_sites(&self.program.sites[op_idx], |site| {
-                        site.apply_trajectory(&mut noisy, rng);
-                    });
-            }
-            if let Some(sites) = self.channels.idle.get(&frame.duration) {
-                for site in sites {
-                    site.apply_trajectory(&mut noisy, rng);
-                }
-            }
-            if !self.channels.crosstalk.is_empty() {
-                for pair in &self.program.crosstalk_pairs[frame_idx] {
-                    if let Some(site) = self.channels.crosstalk.get(&(frame.duration, *pair)) {
-                        site.apply_trajectory(&mut noisy, rng);
-                    }
-                }
-            }
-            noisy.renormalize();
-        }
-
-        Ok(ideal.fidelity(&noisy))
-    }
-
-    /// Runs the trials of one index range in parallel, in index order:
-    /// trial `i` uses `seed + i`, so any range's fidelities are exactly the
-    /// corresponding slice of a full run's per-trial stream. Each trial
-    /// checks `cancel` before it starts and between frames; parallel
-    /// workers short-circuit on the first [`NoiseError::Cancelled`].
-    fn trial_chunk(
-        &self,
-        config: &TrajectoryConfig,
-        range: std::ops::Range<usize>,
-        cancel: &CancelToken,
-    ) -> NoiseResult<Vec<f64>> {
-        range
-            .into_par_iter()
-            .map(|i| {
-                cancel.check()?;
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
-                let initial = self.draw_input(&config.input, &mut rng)?;
-                self.trial_from(initial, &mut rng, cancel)
-            })
-            .collect()
+        let mut noisy = Trial {
+            compiled: &self.compiled,
+            state: initial,
+            rng,
+        };
+        self.program.replay(&self.channels, &mut noisy, cancel)?;
+        Ok(ideal.fidelity(&noisy.state))
     }
 
     /// Runs with the requested [`Precision`]: [`Precision::FixedTrials`]
@@ -719,7 +704,9 @@ impl TrajectorySimulator {
         precision: &Precision,
         cancel: &CancelToken,
     ) -> NoiseResult<FidelityEstimate> {
-        self.run_precision_impl(config, precision, cancel, None)
+        run_to_precision(config.trials, precision, cancel, None, |i| {
+            self.trial(config, i, cancel)
+        })
     }
 
     /// Like [`TrajectorySimulator::run_with_precision`], but also returns
@@ -738,65 +725,115 @@ impl TrajectorySimulator {
         cancel: &CancelToken,
     ) -> NoiseResult<(FidelityEstimate, Vec<f64>)> {
         let mut trace = Vec::new();
-        let estimate = self.run_precision_impl(config, precision, cancel, Some(&mut trace))?;
+        let estimate = run_to_precision(config.trials, precision, cancel, Some(&mut trace), |i| {
+            self.trial(config, i, cancel)
+        })?;
         Ok((estimate, trace))
-    }
-
-    fn run_precision_impl(
-        &self,
-        config: &TrajectoryConfig,
-        precision: &Precision,
-        cancel: &CancelToken,
-        mut trace: Option<&mut Vec<f64>>,
-    ) -> NoiseResult<FidelityEstimate> {
-        let (sigma, min_trials, max_trials) = match *precision {
-            Precision::FixedTrials => {
-                let samples = self.trial_chunk(config, 0..config.trials, cancel)?;
-                let estimate = estimate_from_samples(&samples);
-                if let Some(trace) = trace {
-                    *trace = samples;
-                }
-                return Ok(estimate);
-            }
-            Precision::TargetSigma {
-                sigma,
-                min_trials,
-                max_trials,
-            } => (sigma, min_trials.max(1), max_trials.max(min_trials.max(1))),
-        };
-        let mut agg = Welford::new();
-        let mut done = 0usize;
-        // First chunk covers min_trials; afterwards the total doubles per
-        // round (bounding overshoot past the optimal stopping point to
-        // 2×), capped so one round stays a responsive unit of work.
-        let mut next = min_trials.min(max_trials);
-        while done < max_trials {
-            let end = (done + next).min(max_trials);
-            let samples = self.trial_chunk(config, done..end, cancel)?;
-            let mut chunk = Welford::new();
-            for &f in &samples {
-                chunk.push(f);
-            }
-            agg.merge(&chunk);
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.extend_from_slice(&samples);
-            }
-            done = end;
-            if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
-                break;
-            }
-            next = done.min(MAX_ADAPTIVE_CHUNK);
-        }
-        Ok(agg.estimate())
     }
 }
 
-/// The largest trial chunk one adaptive round schedules at once: big enough
-/// to saturate the worker pool, small enough that the stopping rule gets a
-/// look-in at a bounded cadence even when the target needs many trials.
+/// A trajectory trial's noisy state: the state vector, the trial's RNG
+/// (every channel site draws its branch from it) and the shared gate plans.
+struct Trial<'a> {
+    compiled: &'a CompiledCircuit,
+    state: StateVector,
+    rng: StdRng,
+}
+
+impl NoisyState for Trial<'_> {
+    type Site = CompiledChannel;
+
+    fn unitary(&mut self, op: usize) {
+        self.compiled.plan(op).apply_sequential(&mut self.state);
+    }
+
+    fn channel(&mut self, site: &CompiledChannel) {
+        site.apply_trajectory(&mut self.state, &mut self.rng);
+    }
+
+    fn end_frame(&mut self) {
+        self.state.renormalize();
+    }
+}
+
+/// The one precision loop both engines run: evaluates `sample(i)` for
+/// sample indices `0, 1, 2, …` until `precision` is met.
+///
+/// * [`Precision::FixedTrials`] evaluates `trials` samples and aggregates
+///   them in one pass.
+/// * [`Precision::TargetSigma`] runs chunks and Welford-merges them,
+///   stopping once the conservative error bar reaches `sigma` (after at
+///   least `min_trials`, at most `max_trials` samples). The first chunk
+///   covers `min_trials`; afterwards the total doubles per round, which
+///   bounds the overshoot past the optimal stopping point to 2×, with
+///   chunks capped at `MAX_ADAPTIVE_CHUNK`.
+///
+/// Each chunk fans out across rayon workers and returns its samples in
+/// index order. Sample `i` depends on `i` alone (both engines seed it with
+/// `seed + i`), so an early-stopped run consumes exactly a prefix of the
+/// fixed-count stream. Every sample checks `cancel` before it starts, and
+/// the workers short-circuit on the first error. `trace`, when given,
+/// receives the consumed samples in index order.
+pub(crate) fn run_to_precision(
+    trials: usize,
+    precision: &Precision,
+    cancel: &CancelToken,
+    mut trace: Option<&mut Vec<f64>>,
+    sample: impl Fn(usize) -> NoiseResult<f64> + Sync,
+) -> NoiseResult<FidelityEstimate> {
+    let chunk = |range: std::ops::Range<usize>| -> NoiseResult<Vec<f64>> {
+        range
+            .into_par_iter()
+            .map(|i| {
+                cancel.check()?;
+                sample(i)
+            })
+            .collect()
+    };
+    let (sigma, min_trials, max_trials) = match *precision {
+        Precision::FixedTrials => {
+            let samples = chunk(0..trials)?;
+            let estimate = estimate_from_samples(&samples);
+            if let Some(trace) = trace {
+                *trace = samples;
+            }
+            return Ok(estimate);
+        }
+        Precision::TargetSigma {
+            sigma,
+            min_trials,
+            max_trials,
+        } => (sigma, min_trials.max(1), max_trials.max(min_trials.max(1))),
+    };
+    let mut agg = Welford::new();
+    let mut done = 0usize;
+    let mut next = min_trials.min(max_trials);
+    while done < max_trials {
+        let end = (done + next).min(max_trials);
+        let samples = chunk(done..end)?;
+        let mut round = Welford::new();
+        for &f in &samples {
+            round.push(f);
+        }
+        agg.merge(&round);
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.extend_from_slice(&samples);
+        }
+        done = end;
+        if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
+            break;
+        }
+        next = done.min(MAX_ADAPTIVE_CHUNK);
+    }
+    Ok(agg.estimate())
+}
+
+/// The largest chunk one adaptive round schedules at once: big enough to
+/// saturate the worker pool, small enough that the stopping rule gets a
+/// look-in at a bounded cadence even when the target needs many samples.
 const MAX_ADAPTIVE_CHUNK: usize = 4096;
 
-pub(crate) fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
+fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
     let n = samples.len().max(1) as f64;
     let mean = samples.iter().sum::<f64>() / n;
     if samples.len() <= 1 {
@@ -1090,8 +1127,8 @@ mod tests {
         let program =
             NoiseProgram::from_ir(&passes::compile(&c, PassLevel::NoisePreserving)).unwrap();
         assert_eq!(program.circuit.len(), 2, "no lowering at the logical level");
-        assert_eq!(program.sites[0], vec![ErrorSite::Pair([0, 1])]);
-        assert_eq!(program.sites[1], vec![ErrorSite::Single(0)]);
+        assert_eq!(program.sites[0], Some(ErrorSite::Pair([0, 1])));
+        assert_eq!(program.sites[1], Some(ErrorSite::Single(0)));
         // The ≥3-qudit moment lasts one two-qudit layer (no expansion).
         assert_eq!(program.frames[0].duration, FrameDuration::TwoQuditLayers(1));
     }

@@ -8,7 +8,8 @@
 //! bench binary runs the same harness at larger sizes in CI.
 
 use qudit_api::{
-    BackendKind, CrossValidation, Executor, InputState, JobSpec, NoiseModel, PassLevel, Topology,
+    BackendKind, CrossValidation, Executor, InputState, JobSpec, NoiseModel, PassLevel, Precision,
+    Topology,
 };
 use qudit_circuit::Circuit;
 use qudit_noise::models;
@@ -249,4 +250,50 @@ fn random_input_cross_validation_shares_input_draws() {
         cv.exact,
         cv.tolerance
     );
+}
+
+#[test]
+fn cross_validation_runs_the_spec_precision_over_shared_draws() {
+    // An adaptive spec: the trajectory leg must stop exactly where
+    // `Executor::run` of the spec stops, and the exact leg must average the
+    // same input draws — a fixed-count density run over that many draws.
+    let spec = JobSpec::builder(fig4_toffoli())
+        .noise(models::sc())
+        .trials(2048)
+        .input(InputState::RandomQubitSubspace)
+        .precision(Precision::TargetSigma {
+            sigma: 0.02,
+            min_trials: 8,
+            max_trials: 2048,
+        })
+        .build()
+        .unwrap();
+    let run = *Executor::with_result_cache(0)
+        .run(&spec)
+        .unwrap()
+        .fidelity()
+        .unwrap();
+    assert!(run.trials < 2048, "the spec must stop early");
+    let cv = Executor::with_result_cache(0)
+        .cross_validate(&spec, 3.0)
+        .unwrap();
+    assert_eq!(cv.estimate.trials, run.trials);
+    assert_eq!(cv.estimate.mean.to_bits(), run.mean.to_bits());
+    assert_eq!(cv.estimate.std_error.to_bits(), run.std_error.to_bits());
+    let exact_spec = JobSpec::builder(fig4_toffoli())
+        .noise(models::sc())
+        .backend(BackendKind::DensityMatrix)
+        .trials(run.trials)
+        .seed(spec.seed())
+        .input(InputState::RandomQubitSubspace)
+        .build()
+        .unwrap();
+    let exact = Executor::with_result_cache(0)
+        .run(&exact_spec)
+        .unwrap()
+        .fidelity()
+        .unwrap()
+        .mean;
+    assert_eq!(cv.exact.to_bits(), exact.to_bits());
+    assert!(cv.within_bounds(), "{cv:?}");
 }
