@@ -144,10 +144,10 @@ type CompileKey = (PassLevel, Option<Topology>, CircuitKey);
 ///
 /// On top of the compilation cache sits a bounded LRU **result cache**
 /// keyed on the spec's canonical wire form (the same key batch dedup
-/// uses): repeated service traffic — the Zipf-shaped request mix the
-/// `zipf` bench models — skips the whole simulation, not just the
-/// compile. Determinism makes this sound: a cache hit is bit-identical to
-/// re-running the spec, which the cache tests pin.
+/// uses): repeated service traffic — the Zipf-shaped request mix
+/// perfbench's `serve-zipf` workload sends — skips the whole simulation,
+/// not just the compile. Determinism makes this sound: a cache hit is
+/// bit-identical to re-running the spec, which the cache tests pin.
 pub struct Executor {
     cache: Mutex<HashMap<CompileKey, Arc<CacheEntry>>>,
     /// Shared per-gate plan cache for the simulators noisy jobs construct.
@@ -176,9 +176,10 @@ impl Default for Executor {
 const JOB_CACHE_CAP: usize = 256;
 
 /// Default result-cache capacity: finished results held at once. Sized for
-/// a service working set (the Zipf bench's hot set is ~50 specs) while
-/// bounding memory — fidelity results are tiny, but noise-free state
-/// payloads can reach `16 B × 3^width` each.
+/// a service working set while bounding memory — fidelity results are
+/// tiny, but noise-free state payloads can reach `16 B × 3^width` each.
+/// perfbench's `serve-zipf` draws from a catalogue four times this size, so
+/// its Zipf head stays cached while the tail evicts.
 const RESULT_CACHE_CAP: usize = 512;
 
 /// The result cache's interior: wire-keyed results stamped for LRU
@@ -676,18 +677,6 @@ impl CompiledStateJob {
         Ok(self.compiled.run(input))
     }
 
-    /// Evolves `input` strictly on the calling thread — the baseline the
-    /// perf snapshot's sequential column measures, and the right choice
-    /// when the caller already saturates the cores (one job per worker).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledStateJob::run`].
-    pub fn run_sequential(&self, input: StateVector) -> ApiResult<StateVector> {
-        self.check_shape(&input)?;
-        Ok(self.compiled.run_sequential(input))
-    }
-
     fn check_shape(&self, input: &StateVector) -> ApiResult<()> {
         if input.dim() != self.compiled.dim() || input.num_qudits() != self.compiled.width() {
             return Err(ApiError::Noise(
@@ -708,14 +697,9 @@ impl CompiledStateJob {
         self.ir.circuit().len()
     }
 
-    /// Resources of the compiled (post-pass) circuit.
-    pub fn resources(&self) -> qudit_circuit::ResourceReport {
-        self.ir.report().post
-    }
-
     /// The cache-blocked replay segmentation as `(op count, chunk amps)`
     /// pairs — chunk = 0 for op-at-a-time stretches. Diagnostic, surfaced
-    /// for the kernel microbench so it can report blocking without
+    /// so perfbench's traced `replay-wide` run can report blocking without
     /// reaching below the façade.
     pub fn replay_segments(&self) -> Vec<(usize, usize)> {
         self.compiled.replay_segments()

@@ -446,14 +446,6 @@ impl ApplyPlan {
         self.run_stride
     }
 
-    /// The run shape `(run length, run stride)`: how many consecutive
-    /// groups the kernels can walk as one tile, and the base advance
-    /// between them (1 ⇒ cache-line-contiguous tiles). Diagnostic — used by
-    /// the kernel microbench to label plan shapes.
-    pub fn run_shape(&self) -> (usize, usize) {
-        (self.run, self.run_stride)
-    }
-
     /// Whether the plan dispatches to the sparse permutation kernel (or is
     /// an outright no-op for identity gates).
     pub fn is_permutation(&self) -> bool {

@@ -414,8 +414,8 @@ impl CompiledCircuit {
     }
 
     /// The replay segmentation as `(op count, chunk amplitudes)` pairs —
-    /// chunk = 0 for op-at-a-time stretches. Diagnostic, used by the kernel
-    /// microbench.
+    /// chunk = 0 for op-at-a-time stretches. Diagnostic, reported by
+    /// perfbench's traced `replay-wide` run.
     pub fn replay_segments(&self) -> Vec<(usize, usize)> {
         self.segments
             .iter()

@@ -2,10 +2,12 @@
 //! consumes exactly a prefix of the fixed-count RNG stream (so "run until
 //! the bar is small" never changes *what* is simulated, only *how much*),
 //! the executor's result cache answers bit-identically without
-//! re-simulating, and pre-precision wire payloads keep their exact
+//! re-simulating, the two together cut Zipf-shaped traffic's trials at
+//! least tenfold, and pre-precision wire payloads keep their exact
 //! behaviour.
 
 use proptest::prelude::*;
+use qudit_algos::{qft, qft_adder};
 use qudit_api::{Executor, JobSpec};
 use qudit_circuit::{passes, Circuit, Control, Gate, PassLevel};
 use qudit_noise::{
@@ -13,6 +15,8 @@ use qudit_noise::{
     TrajectorySimulator,
 };
 use qudit_sim::Simulator;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 fn toffoli_fig4() -> Circuit {
     let mut c = Circuit::new(3, 3);
@@ -151,5 +155,86 @@ fn pre_precision_wire_payloads_parse_and_run_bit_identically() {
     assert_eq!(
         a.fidelity().unwrap().std_error.to_bits(),
         b.fidelity().unwrap().std_error.to_bits()
+    );
+}
+
+/// A Zipf(1.1) stream of `requests` indices into `n` specs: index `i` is
+/// drawn with weight `1/(i+1)^1.1`, so the head of the catalogue dominates
+/// the way hot service traffic does.
+fn zipf_stream(n: usize, requests: usize, seed: u64) -> Vec<usize> {
+    let weights: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(1.1)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..requests)
+        .map(|_| {
+            let mut point = rng.next_f64() * total;
+            weights
+                .iter()
+                .position(|w| {
+                    point -= w;
+                    point <= 0.0
+                })
+                .unwrap_or(n - 1)
+        })
+        .collect()
+}
+
+/// Both levers on Zipf-shaped traffic, counted in trials rather than
+/// timed: 600 requests drawn Zipf(1.1) over 50 noisy specs (the Figure-4
+/// Toffoli, the 3-qutrit QFT and the 2-digit Draper adder under each of the
+/// 7 paper models), each under `TargetSigma { 0.02, 8, 512 }`, through one
+/// `Executor::new()`. Uncached fixed-trial runs would simulate
+/// 600 × 512 = 307 200 trials; the cache answers every repeat and each miss
+/// stops early, so the stream must simulate at least ten times fewer. Every
+/// count is deterministic, so all are pinned.
+#[test]
+fn zipf_traffic_through_the_result_cache_simulates_ten_times_fewer_trials() {
+    const REQUESTS: usize = 600;
+    const SPECS: usize = 50;
+    const BUDGET: usize = 512;
+    let all_models = models::all_models();
+    let specs: Vec<JobSpec> = (0..SPECS)
+        .map(|i| {
+            let circuit = match i % 3 {
+                0 => toffoli_fig4(),
+                1 => qft(3, 3).unwrap(),
+                _ => qft_adder(3, 2).unwrap(),
+            };
+            JobSpec::builder(circuit)
+                .noise(all_models[i % all_models.len()].clone())
+                .trials(BUDGET)
+                .seed(2019 + (i / all_models.len()) as u64)
+                .input(InputState::AllOnes)
+                .precision(Precision::TargetSigma {
+                    sigma: 0.02,
+                    min_trials: 8,
+                    max_trials: BUDGET,
+                })
+                .build()
+                .unwrap()
+        })
+        .collect();
+
+    let executor = Executor::new();
+    let mut simulated = 0usize;
+    for idx in zipf_stream(SPECS, REQUESTS, 7) {
+        let misses = executor.result_cache_stats().misses;
+        let trials = executor.run(&specs[idx]).unwrap().trials_run().unwrap();
+        assert!(
+            trials <= BUDGET,
+            "spec {idx} ran {trials} > {BUDGET} trials"
+        );
+        if executor.result_cache_stats().misses > misses {
+            simulated += trials;
+        }
+    }
+    let stats = executor.result_cache_stats();
+    assert_eq!((stats.hits, stats.misses), (554, 46));
+    assert_eq!(executor.jobs_simulated(), 46);
+    assert_eq!(simulated, 11_776);
+    assert!(
+        simulated * 10 <= REQUESTS * BUDGET,
+        "{simulated} trials simulated, not 10x under the {} of uncached fixed runs",
+        REQUESTS * BUDGET
     );
 }

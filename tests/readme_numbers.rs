@@ -1,7 +1,9 @@
-//! README quotes headline numbers from the checked-in benchmark snapshots.
-//! These tests re-read `BENCH_zipf.json` and `BENCH_serve.json` and fail
-//! when a quoted number differs from its snapshot at the precision README
-//! prints it, so a re-run benchmark cannot leave README stale.
+//! README quotes its performance numbers from `BENCH_perfbench.json`, the
+//! checked-in record of one untraced perfbench run per workload. These tests
+//! re-read it and fail when a quoted number differs from the record at the
+//! precision README prints it, so a re-recorded benchmark cannot leave
+//! README stale, and when an entry is not a full 30 s untraced run with no
+//! failed op, so a smoke run cannot be checked in as the record.
 
 use serde::Value;
 use std::path::Path;
@@ -11,7 +13,7 @@ fn read(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn bench(name: &str) -> Value {
+fn json(name: &str) -> Value {
     serde::json::parse(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
@@ -20,6 +22,14 @@ fn number(value: &Value, path: &[&str]) -> f64 {
         .fold(value, |v, key| v.field(key).expect("field present"))
         .as_f64()
         .expect("a number")
+}
+
+/// The recorded `end_to_end` metric `metric` of `workload`.
+fn recorded(workload: &str, metric: &str) -> f64 {
+    number(
+        &json("BENCH_perfbench.json"),
+        &[workload, "end_to_end", metric],
+    )
 }
 
 /// The README paragraph that starts with `start`, with its line breaks
@@ -35,8 +45,7 @@ fn readme_paragraph(start: &str) -> String {
 }
 
 /// A number as README prints it, with the rounding that printing implies:
-/// half a unit in the last printed decimal, or — for a `~` approximation
-/// ending in zeros — half a unit in the last non-zero digit.
+/// half a unit in the last printed decimal.
 #[derive(Debug)]
 struct Quoted {
     value: f64,
@@ -44,10 +53,13 @@ struct Quoted {
 }
 
 impl Quoted {
-    /// Parses the number that ends right before byte `end` of `text`:
-    /// digits, optionally grouped by single spaces ("12 372"), with optional
-    /// decimals and an optional leading `~`.
-    fn ending_at(text: &str, end: usize) -> Quoted {
+    /// Parses the number that ends right before the first `suffix` in
+    /// `text`: digits, optionally grouped by single spaces ("12 372"), with
+    /// optional decimals.
+    fn before(text: &str, suffix: &str) -> Quoted {
+        let end = text
+            .find(suffix)
+            .unwrap_or_else(|| panic!("no {suffix:?} in {text:?}"));
         let head = &text[..end];
         let mut start = end;
         for (i, c) in head.char_indices().rev() {
@@ -60,11 +72,11 @@ impl Quoted {
                 break;
             }
         }
-        let approximate = head[..start].ends_with('~');
-        Quoted::parse(&head[start..], approximate)
+        Quoted::parse(&head[start..])
     }
 
-    /// Parses the number that starts right after `label` in `text`.
+    /// Parses the number that starts right after the first `label` in
+    /// `text`.
     fn after(text: &str, label: &str) -> Quoted {
         let from = text
             .find(label)
@@ -73,73 +85,74 @@ impl Quoted {
         let len = text[from..]
             .find(|c: char| !(c.is_ascii_digit() || c == '.'))
             .unwrap_or(text.len() - from);
-        Quoted::parse(&text[from..from + len], false)
+        Quoted::parse(&text[from..from + len])
     }
 
-    fn parse(printed: &str, approximate: bool) -> Quoted {
+    fn parse(printed: &str) -> Quoted {
         let digits: String = printed.chars().filter(|&c| c != ' ').collect();
         let value: f64 = digits
             .parse()
             .unwrap_or_else(|_| panic!("{printed:?} is not a number"));
-        let unit = match digits.split_once('.') {
-            Some((_, decimals)) => 10f64.powi(-(decimals.len() as i32)),
-            None if approximate => {
-                let zeros = digits.len() - digits.trim_end_matches('0').len();
-                10f64.powi(zeros as i32)
-            }
-            None => 1.0,
-        };
+        let decimals = digits.split_once('.').map_or(0, |(_, d)| d.len());
         Quoted {
             value,
-            tolerance: unit / 2.0,
+            tolerance: 10f64.powi(-(decimals as i32)) / 2.0,
         }
     }
 
-    fn assert_matches(&self, what: &str, snapshot: f64) {
+    fn assert_matches(&self, what: &str, recorded: f64) {
         assert!(
-            (self.value - snapshot).abs() <= self.tolerance * (1.0 + 1e-9),
-            "README quotes {what} as {} but the snapshot records {snapshot}",
+            (self.value - recorded).abs() <= self.tolerance * (1.0 + 1e-9),
+            "README quotes {what} as {} but BENCH_perfbench.json records {recorded}",
             self.value
         );
     }
 }
 
-/// Every number in `paragraph` that directly precedes `suffix`, in order.
-fn quoted_before(paragraph: &str, suffix: &str) -> Vec<Quoted> {
-    paragraph
-        .match_indices(suffix)
-        .map(|(at, _)| Quoted::ending_at(paragraph, at))
-        .collect()
+#[test]
+fn bench_perfbench_json_holds_a_full_untraced_run_of_every_workload() {
+    let record = json("BENCH_perfbench.json");
+    let Value::Object(entries) = &record else {
+        panic!("BENCH_perfbench.json is not an object");
+    };
+    let recorded: Vec<&str> = entries.iter().map(|(name, _)| name.as_str()).collect();
+    let declared = json("BENCHMARK.json");
+    let declared: Vec<&str> = declared
+        .field("workloads")
+        .and_then(Value::as_array)
+        .expect("BENCHMARK.json lists its workloads")
+        .iter()
+        .map(|w| w.field("name").and_then(Value::as_str).expect("a name"))
+        .collect();
+    assert_eq!(recorded, declared, "one entry per BENCHMARK.json workload");
+
+    for (workload, entry) in entries {
+        let provenance = entry.field("provenance").expect("provenance");
+        let field = |key: &str| provenance.field(key).expect("provenance field");
+        assert_eq!(field("workload").as_str().unwrap(), workload);
+        assert_eq!(field("seconds").as_f64().unwrap(), 30.0, "{workload}");
+        assert!(!field("trace").as_bool().unwrap(), "{workload} is traced");
+        assert_eq!(number(entry, &["failed"]), 0.0, "{workload} failed ops");
+        assert!(number(entry, &["attempted"]) > 0.0, "{workload} ran no op");
+    }
 }
 
 #[test]
-fn readme_zipf_throughput_and_speedup_match_bench_zipf_json() {
-    let snapshot = bench("BENCH_zipf.json");
-    let paragraph = readme_paragraph("`bench --bin zipf` measures");
-    let rates = quoted_before(&paragraph, " req/s");
-    assert_eq!(rates.len(), 2, "baseline and cached req/s in {paragraph:?}");
-    rates[0].assert_matches(
-        "the uncached baseline req/s",
-        number(&snapshot, &["baseline", "rps"]),
+fn readme_replay_throughput_and_latency_match_bench_perfbench_json() {
+    let paragraph = readme_paragraph("perfbench's `replay-wide` workload measures");
+    Quoted::before(&paragraph, " ops/s").assert_matches(
+        "the replay-wide ops/s",
+        recorded("replay-wide", "ops_per_s"),
     );
-    rates[1].assert_matches(
-        "the cached+adaptive req/s",
-        number(&snapshot, &["cached", "rps"]),
-    );
-    let speedups = quoted_before(&paragraph, "× effective throughput");
-    assert_eq!(speedups.len(), 1, "one speedup in {paragraph:?}");
-    speedups[0].assert_matches("the speedup", number(&snapshot, &["speedup"]));
-}
-
-#[test]
-fn readme_serve_throughput_and_latency_match_bench_serve_json() {
-    let snapshot = bench("BENCH_serve.json");
-    let paragraph = readme_paragraph("`loadgen` verifies every response");
-    let rates = quoted_before(&paragraph, " req/s");
-    assert_eq!(rates.len(), 1, "one req/s figure in {paragraph:?}");
-    rates[0].assert_matches("the serve req/s", number(&snapshot, &["rps"]));
     Quoted::after(&paragraph, "p50 ")
-        .assert_matches("the serve p50", number(&snapshot, &["latency_ms", "p50"]));
-    Quoted::after(&paragraph, "p99 ")
-        .assert_matches("the serve p99", number(&snapshot, &["latency_ms", "p99"]));
+        .assert_matches("the replay-wide p50", recorded("replay-wide", "p50_ms"));
+}
+
+#[test]
+fn readme_serve_throughput_and_latency_match_bench_perfbench_json() {
+    let paragraph = readme_paragraph("perfbench's `serve-zipf` workload measures");
+    Quoted::before(&paragraph, " req/s")
+        .assert_matches("the serve-zipf req/s", recorded("serve-zipf", "ops_per_s"));
+    Quoted::after(&paragraph, "p50 ")
+        .assert_matches("the serve-zipf p50", recorded("serve-zipf", "p50_ms"));
 }
