@@ -74,6 +74,9 @@ pub fn random_basis_state<R: Rng + ?Sized>(
 /// each qudit. The paper's circuits take qubit inputs even though the qudits
 /// are three-level, so noise benchmarks draw inputs from this distribution.
 ///
+/// Only the `2^N` qubit-subspace amplitudes are visited, in ascending index
+/// order, so the draw costs `O(2^N)` Gaussians plus one zeroed `d^N` buffer.
+///
 /// # Errors
 ///
 /// Returns an error if `dim < 2`.
@@ -84,13 +87,18 @@ pub fn random_qubit_subspace_state<R: Rng + ?Sized>(
 ) -> CoreResult<StateVector> {
     let mut sv = StateVector::zero_state(dim, num_qudits)?;
     let amps = sv.amplitudes_mut();
-    for (idx, amp) in amps.iter_mut().enumerate() {
-        let digits = StateVector::decode_index(dim, num_qudits, idx);
-        *amp = if digits.iter().all(|&d| d < 2) {
-            complex_gaussian(rng)
-        } else {
-            Complex::ZERO
-        };
+    // Binary counting over the digits: the subspace indices ascend with the
+    // counter. Each step turns the trailing 1-digits to 0 and the next
+    // digit from 0 to 1.
+    let mut idx = 0usize;
+    for count in 0..1usize << num_qudits {
+        amps[idx] = complex_gaussian(rng);
+        let mut stride = 1;
+        for _ in 0..count.trailing_ones() {
+            idx -= stride;
+            stride *= dim;
+        }
+        idx += stride;
     }
     sv.renormalize();
     Ok(sv)
@@ -147,6 +155,48 @@ mod tests {
             }
         }
         assert!((sv.norm() - 1.0).abs() < 1e-9);
+    }
+
+    /// The full-scan body `random_qubit_subspace_state` had before it
+    /// enumerated the subspace directly: it decodes every index.
+    fn qubit_subspace_state_by_full_scan<R: Rng + ?Sized>(
+        dim: usize,
+        num_qudits: usize,
+        rng: &mut R,
+    ) -> StateVector {
+        let mut sv = StateVector::zero_state(dim, num_qudits).unwrap();
+        for (idx, amp) in sv.amplitudes_mut().iter_mut().enumerate() {
+            let digits = StateVector::decode_index(dim, num_qudits, idx);
+            *amp = if digits.iter().all(|&d| d < 2) {
+                complex_gaussian(rng)
+            } else {
+                Complex::ZERO
+            };
+        }
+        sv.renormalize();
+        sv
+    }
+
+    #[test]
+    fn qubit_subspace_draw_is_bit_identical_to_the_full_scan() {
+        for dim in [2, 3] {
+            for n in 1..=9 {
+                for seed in [0u64, 1, 7, 2019] {
+                    let fast =
+                        random_qubit_subspace_state(dim, n, &mut StdRng::seed_from_u64(seed))
+                            .unwrap();
+                    let scan =
+                        qubit_subspace_state_by_full_scan(dim, n, &mut StdRng::seed_from_u64(seed));
+                    for (a, b) in fast.amplitudes().iter().zip(scan.amplitudes()) {
+                        assert_eq!(
+                            (a.re.to_bits(), a.im.to_bits()),
+                            (b.re.to_bits(), b.im.to_bits()),
+                            "d={dim} n={n} seed={seed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

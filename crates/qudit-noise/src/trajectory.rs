@@ -16,12 +16,17 @@
 //!    on the gate's own qudits** (single-qudit depolarizing for 1-qudit
 //!    gates, two-qudit depolarizing for 2-qudit gates),
 //! 3. applies the idle amplitude-damping error to every qudit for the
-//!    frame's duration, and
+//!    frame's duration, as one idle group in qudit order, and
 //! 4. applies the crosstalk phases between the frame's busy adjacent pairs.
 //!
 //! That order is written once, in [`NoiseProgram::replay`]; the exact
 //! density-matrix engine replays through the same loop, so the two engines
-//! charge the same channels in the same order.
+//! charge the same channels in the same order. Each engine applies the
+//! idle group through the `NoisyState::idle` hook. The exact engine charges
+//! the sites one by one. A trajectory trial samples them as the one-by-one
+//! loop would, but in one read pass and one write pass over the state while
+//! no qudit jumps; the group leaves the state at unit norm, so the frame
+//! ends without a renormalisation pass.
 //!
 //! The default program is built from a circuit compiled through the
 //! compiler's [`PassLevel::Physical`] pipeline, which lowers every
@@ -58,7 +63,7 @@
 
 use crate::cancel::CancelToken;
 use crate::error::{NoiseError, NoiseResult};
-use crate::kraus::{Channel, CompiledChannel};
+use crate::kraus::{apply_idle_group, Channel, CompiledChannel};
 use crate::models::NoiseModel;
 use qudit_circuit::passes::{CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, FrameDuration, FrameSchedule, Operation, Topology};
@@ -510,7 +515,7 @@ pub(crate) struct NoiseSites<T> {
 }
 
 /// A backend's noisy state as [`NoiseProgram::replay`] drives it: the
-/// three things the two engines do differently inside a frame.
+/// things the two engines do differently inside a frame.
 pub(crate) trait NoisyState {
     /// The backend's per-site channel artifact.
     type Site;
@@ -518,6 +523,15 @@ pub(crate) trait NoisyState {
     fn unitary(&mut self, op: usize);
     /// Applies one channel site.
     fn channel(&mut self, site: &Self::Site);
+    /// Applies a frame's idle group: the T1 damping sites of its qudits, in
+    /// qudit order. The default applies them one by one, as `channel`
+    /// does; a backend may apply the group in fewer passes, provided it
+    /// draws each site's branch as that loop would.
+    fn idle(&mut self, sites: &[Self::Site]) {
+        for site in sites {
+            self.channel(site);
+        }
+    }
     /// Closes a frame.
     fn end_frame(&mut self);
 }
@@ -554,8 +568,8 @@ impl NoiseProgram {
                         .expect("pair compiled at construction"),
                 });
             }
-            for site in sites.idle.get(&frame.duration).into_iter().flatten() {
-                state.channel(site);
+            if let Some(idle) = sites.idle.get(&frame.duration) {
+                state.idle(idle);
             }
             for pair in coupled {
                 if let Some(site) = sites.crosstalk.get(&(frame.duration, *pair)) {
@@ -679,11 +693,7 @@ impl TrajectorySimulator {
             .input
             .draw(circuit.dim(), circuit.width(), &mut rng)?;
         let ideal = self.compiled.run_sequential(initial.clone());
-        let mut noisy = Trial {
-            compiled: &self.compiled,
-            state: initial,
-            rng,
-        };
+        let mut noisy = Trial::new(&self.compiled, initial, rng);
         self.program.replay(&self.channels, &mut noisy, cancel)?;
         Ok(ideal.fidelity(&noisy.state))
     }
@@ -738,6 +748,20 @@ struct Trial<'a> {
     compiled: &'a CompiledCircuit,
     state: StateVector,
     rng: StdRng,
+    /// Whether the current frame's idle group left the state at unit norm,
+    /// so that `end_frame` has nothing to renormalise.
+    normalised: bool,
+}
+
+impl<'a> Trial<'a> {
+    fn new(compiled: &'a CompiledCircuit, state: StateVector, rng: StdRng) -> Self {
+        Trial {
+            compiled,
+            state,
+            rng,
+            normalised: false,
+        }
+    }
 }
 
 impl NoisyState for Trial<'_> {
@@ -751,8 +775,23 @@ impl NoisyState for Trial<'_> {
         site.apply_trajectory(&mut self.state, &mut self.rng);
     }
 
+    /// Damping sites go through `apply_idle_group`: one read pass and one
+    /// write pass for the whole group while no site jumps. Every Kraus
+    /// branch divides by its own norm, so the group leaves the state at
+    /// unit norm and the frame's crosstalk phases keep it there.
+    fn idle(&mut self, sites: &[CompiledChannel]) {
+        if !apply_idle_group(sites, &mut self.state, &mut self.rng) {
+            for site in sites {
+                self.channel(site);
+            }
+        }
+        self.normalised = !sites.is_empty();
+    }
+
     fn end_frame(&mut self) {
-        self.state.renormalize();
+        if !std::mem::take(&mut self.normalised) {
+            self.state.renormalize();
+        }
     }
 }
 
@@ -907,6 +946,52 @@ mod tests {
         simulator(circuit, model, config.level)
             .run_with_precision(config, &Precision::FixedTrials, &CancelToken::never())
             .unwrap()
+    }
+
+    #[test]
+    fn fused_idle_matches_the_per_site_loop() {
+        // Damping strong enough that a frame's first jump lands on its first
+        // site, a middle one, its last one, or none; some frames jump twice.
+        let width = 5;
+        let mut first_jumps = std::collections::BTreeSet::new();
+        let mut double_jumps = 0;
+        for (dim, channel) in [
+            (2, crate::damping::qubit_damping(0.2).unwrap()),
+            (3, crate::damping::qutrit_damping(0.15, 0.25).unwrap()),
+        ] {
+            let sites: Vec<CompiledChannel> = (0..width)
+                .map(|q| channel.compile(dim, width, &[q]))
+                .collect();
+            let compiled = Simulator::new().compile(&Circuit::new(dim, width));
+            for seed in 0..64u64 {
+                let mut input_rng = StdRng::seed_from_u64(1000 + seed);
+                let start = qudit_core::random_state(dim, width, &mut input_rng).unwrap();
+                let mut per_site = start.clone();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let branches: Vec<usize> = sites
+                    .iter()
+                    .map(|site| site.apply_trajectory(&mut per_site, &mut rng))
+                    .collect();
+                let mut fused = Trial::new(&compiled, start, StdRng::seed_from_u64(seed));
+                fused.idle(&sites);
+                for (x, y) in per_site.amplitudes().iter().zip(fused.state.amplitudes()) {
+                    assert!(x.approx_eq(*y, 1e-12), "seed {seed}, branches {branches:?}");
+                }
+                assert!((fused.state.norm() - 1.0).abs() < 1e-12);
+                // Both consumed the same draws.
+                let next = |rng: &mut StdRng| rng.gen_range(0.0..1.0f64).to_bits();
+                assert_eq!(next(&mut rng), next(&mut fused.rng), "seed {seed}");
+                double_jumps += usize::from(branches.iter().filter(|&&b| b != 0).count() > 1);
+                first_jumps.insert(match branches.iter().position(|&b| b != 0) {
+                    None => "none",
+                    Some(0) => "first",
+                    Some(j) if j == width - 1 => "last",
+                    Some(_) => "middle",
+                });
+            }
+        }
+        assert_eq!(first_jumps.len(), 4, "first jumps: {first_jumps:?}");
+        assert!(double_jumps > 0);
     }
 
     #[test]

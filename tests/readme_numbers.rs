@@ -156,3 +156,14 @@ fn readme_serve_throughput_and_latency_match_bench_perfbench_json() {
     Quoted::after(&paragraph, "p50 ")
         .assert_matches("the serve-zipf p50", recorded("serve-zipf", "p50_ms"));
 }
+
+#[test]
+fn readme_fig11_throughput_and_latency_match_bench_perfbench_json() {
+    let paragraph = readme_paragraph("perfbench's `fig11-sweep` workload measures");
+    Quoted::before(&paragraph, " ops/s").assert_matches(
+        "the fig11-sweep ops/s",
+        recorded("fig11-sweep", "ops_per_s"),
+    );
+    Quoted::after(&paragraph, "p50 ")
+        .assert_matches("the fig11-sweep p50", recorded("fig11-sweep", "p50_ms"));
+}
