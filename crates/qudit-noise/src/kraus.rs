@@ -8,16 +8,18 @@
 //!
 //! A Kraus channel is sampled by the no-jump/jump split of the Monte Carlo
 //! wave-function method (Dalibard, Castin & Mølmer, PRL 68, 580, 1992), with
-//! each branch drawn from its norm as in qsim's noisy trajectories (Isakov et
-//! al., arXiv:2111.02396). One read-only pass over the state gives every
-//! branch weight `p_i = tr(K_i†K_i ρ_S)`, where `ρ_S` is the reduced density
-//! matrix of the site's qudits; for amplitude damping every `K_i†K_i` is
-//! diagonal, so the pass only sums level populations. Only the chosen `K_i`
-//! is then applied, in place, with `1/√p_i` folded in: the no-jump `K_0` of
-//! damping is a per-level scale, and a jump moves one level to `|0⟩`. No
-//! site clones the state. `apply_idle_group` goes further for a frame's
-//! idle group of damping sites: while no site jumps, the whole group shares
-//! one read pass and one write pass.
+//! each branch drawn from its weight `p_i = ‖K_i|ψ⟩‖²` as in qsim's noisy
+//! trajectories (Isakov et al., arXiv:2111.02396); only the drawn `K_i` is
+//! applied, in place, with `1/√p_i` folded in. Amplitude damping, the only
+//! Kraus channel the noise models build, has one sampler: `apply_idle_group`
+//! weighs a frame's whole idle group of damping sites from one read-only
+//! walk over the state, where every weight is a sum of level populations,
+//! and while no site jumps applies the group in one write walk; a jump moves
+//! one level of its qudit to `|0⟩`. A lone damping site is a group of one.
+//! Any other Kraus channel keeps one apply plan per `K_i`: its weights come
+//! from applying each plan to a per-thread copy of the state, and the drawn
+//! plan is applied to the state itself. No site clones the state: the copy
+//! is made once per thread and reused.
 
 use crate::error::{NoiseError, NoiseResult};
 use qudit_core::{CMatrix, Complex, StateVector};
@@ -149,9 +151,11 @@ impl Channel {
 
     /// Precompiles the channel's trajectory branches for one fixed
     /// `(register shape, qudit set)` site, so the Monte Carlo loop does no
-    /// plan building per application. A Kraus channel also precomputes
-    /// every `K_i†K_i`, and picks the in-place form of each `K_i`: a
-    /// per-level scale, a one-level jump, or a general plan.
+    /// plan building per application. This is the one place a Kraus
+    /// channel's form is chosen: single-qudit amplitude damping (a real
+    /// diagonal `K_0`, and every other `K_i` with at most one nonzero entry)
+    /// compiles to the damping form that the idle walk applies, and any
+    /// other Kraus channel to one plan per `K_i`.
     ///
     /// # Panics
     ///
@@ -164,26 +168,21 @@ impl Channel {
             expected,
             "channel dimension does not match targeted qudits"
         );
-        match self {
-            Channel::MixedUnitary { probs, unitaries } => CompiledChannel {
-                kind: CompiledKind::MixedUnitary {
-                    probs: probs.clone(),
-                    plans: unitaries
-                        .iter()
-                        .map(|u| {
-                            if is_identity(u) {
-                                None
-                            } else {
-                                Some(ApplyPlan::for_matrix(dim, width, u, qudits))
-                            }
-                        })
-                        .collect(),
-                },
+        let plan = |m: &CMatrix| ApplyPlan::for_matrix(dim, width, m, qudits);
+        let kind = match self {
+            Channel::MixedUnitary { probs, unitaries } => CompiledKind::MixedUnitary {
+                probs: probs.clone(),
+                plans: unitaries
+                    .iter()
+                    .map(|u| if is_identity(u) { None } else { Some(plan(u)) })
+                    .collect(),
             },
-            Channel::Kraus { operators } => CompiledChannel {
-                kind: CompiledKind::Kraus(KrausSite::new(operators, dim, width, qudits)),
+            Channel::Kraus { operators } => match Damping::new(operators, dim, width, qudits) {
+                Some(damping) => CompiledKind::Damping(damping),
+                None => CompiledKind::Kraus(operators.iter().map(plan).collect()),
             },
-        }
+        };
+        CompiledChannel { kind }
     }
 
     /// Composes this channel with a `later` one: the returned channel
@@ -240,10 +239,12 @@ impl Channel {
     }
 }
 
-/// A [`Channel`] precompiled for one `(dim, width, qudit set)` site: every
-/// branch operator has a prebuilt in-place form, so trajectory sampling does
-/// no per-application planning. Immutable and `Sync` — one compiled site is
-/// shared by all Monte Carlo trials.
+/// A [`Channel`] precompiled for one `(dim, width, qudit set)` site, so
+/// trajectory sampling does no per-application planning: a mixed-unitary
+/// channel keeps a plan per non-identity branch, amplitude damping keeps
+/// the per-level factors and jumps the idle walk applies, and any other
+/// Kraus channel keeps a plan per `K_i`. Immutable and `Sync` — one
+/// compiled site is shared by all Monte Carlo trials.
 #[derive(Clone, Debug)]
 pub struct CompiledChannel {
     kind: CompiledKind,
@@ -257,23 +258,24 @@ enum CompiledKind {
         probs: Vec<f64>,
         plans: Vec<Option<ApplyPlan>>,
     },
-    /// Branch probabilities are `p_i = tr(K_i†K_i ρ_S)`: one read-only pass
-    /// per application, against the `K_i†K_i` precomputed at compile time.
-    Kraus(KrausSite),
+    /// Single-qudit amplitude damping, applied by the idle walk.
+    Damping(Damping),
+    /// Any other Kraus channel: one plan per `K_i`.
+    Kraus(Vec<ApplyPlan>),
 }
 
 impl CompiledChannel {
     /// Samples one branch and applies it on the calling thread. A Kraus
     /// branch `K_i` is applied in place and divided by `√p_i`, so the state
-    /// leaves at unit norm.
+    /// leaves at unit norm; a damping site runs as an idle group of one.
     ///
-    /// Returns the index of the branch that was applied. Both kinds draw one
-    /// uniform per application, as the uncompiled reference sampler (kept
-    /// with this module's tests) does. A mixed-unitary site matches it draw
-    /// for draw. A Kraus site matches it branch for branch, with amplitudes
-    /// equal to 1e-12: its weights are summed in another order, so only a
-    /// draw within about 1e-12·Σp of a cut between two branches can land
-    /// on the other side.
+    /// Returns the index of the branch that was applied. Every kind draws
+    /// one uniform per application, as the uncompiled reference sampler
+    /// (kept with this module's tests) does. A mixed-unitary site matches
+    /// it draw for draw. A Kraus site matches it branch for branch, with
+    /// amplitudes equal to 1e-12: a damping site sums its weights in
+    /// another order, so only a draw within about 1e-12·Σp of a cut between
+    /// two branches can land on the other side.
     ///
     /// # Panics
     ///
@@ -288,359 +290,187 @@ impl CompiledChannel {
                 }
                 chosen
             }
-            CompiledKind::Kraus(site) => {
-                let (chosen, p) = SCRATCH.with_borrow_mut(|scratch| {
-                    let probs = site.weights(state, scratch);
+            CompiledKind::Damping(damping) => {
+                assert_eq!(
+                    (state.dim(), state.num_qudits()),
+                    (damping.dim, damping.width),
+                    "state shape does not match the channel site"
+                );
+                let group = std::slice::from_ref(self);
+                SCRATCH
+                    .with_borrow_mut(|scratch| idle_pass(group, state, rng, scratch))
+                    .map_or(0, |(_, branch)| branch)
+            }
+            CompiledKind::Kraus(plans) => {
+                let (chosen, p) = SCRATCH.with_borrow_mut(|Scratch { copy, probs, .. }| {
+                    let copy = match copy {
+                        Some(copy)
+                            if (copy.dim(), copy.num_qudits())
+                                == (state.dim(), state.num_qudits()) =>
+                        {
+                            copy
+                        }
+                        slot => slot.insert(state.clone()),
+                    };
+                    probs.clear();
+                    for plan in plans {
+                        copy.amplitudes_mut().copy_from_slice(state.amplitudes());
+                        plan.apply_sequential(copy);
+                        probs.push(copy.norm().powi(2));
+                    }
                     let chosen = draw(probs, rng);
                     (chosen, probs[chosen])
                 });
-                site.apply(state, chosen, p);
+                plans[chosen].apply_sequential(state);
+                let inv = inv_sqrt(p);
+                for a in state.amplitudes_mut() {
+                    *a = a.scale(inv);
+                }
                 chosen
             }
         }
     }
+
+    /// The site's damping form; every idle site has one.
+    fn damping(&self) -> &Damping {
+        match &self.kind {
+            CompiledKind::Damping(damping) => damping,
+            _ => panic!("an idle site is an amplitude-damping channel"),
+        }
+    }
 }
 
-/// Per-thread scratch for the Kraus passes, grown once and then reused, so
-/// no site allocates: the level populations or `ρ_S`, the branch weights,
-/// and the fused idle pass's tables.
+/// Per-thread scratch for the Kraus passes, grown once and then reused: the
+/// idle walk's tables, the branch weights, and the copy of the state that a
+/// plan-form site weighs its branches on.
 struct Scratch {
     reals: Vec<f64>,
-    complexes: Vec<Complex>,
     probs: Vec<f64>,
+    copy: Option<StateVector>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = const {
         RefCell::new(Scratch {
             reals: Vec::new(),
-            complexes: Vec::new(),
             probs: Vec::new(),
+            copy: None,
         })
     };
 }
 
-/// A Kraus channel compiled for one site.
+/// A single-qudit amplitude-damping site, in the form the idle walk
+/// applies.
 #[derive(Clone, Debug)]
-struct KrausSite {
-    qudits: Vec<usize>,
-    layout: SiteLayout,
-    /// Every branch's `K_i†K_i`.
-    effects: Effects,
-    /// Every branch's `K_i`, in the form it is applied in.
-    ops: Vec<KrausOp>,
-}
-
-/// The precomputed `K_i†K_i` of a Kraus site's branches.
-#[derive(Clone, Debug)]
-enum Effects {
-    /// Every `K_i†K_i` is diagonal, as for amplitude damping: their
-    /// diagonals, `D` entries per branch. The weights need only the site's
-    /// level populations.
-    Diagonal(Vec<f64>),
-    /// The full `D × D` matrices, row-major, one per branch. The weights
-    /// need all of `ρ_S`.
-    Dense(Vec<Complex>),
-}
-
-/// How a Kraus operator is applied in place.
-#[derive(Clone, Debug)]
-enum KrausOp {
-    /// A diagonal operator, such as damping's no-jump `K_0`: level `a` of
-    /// every amplitude group is scaled by entry `a`.
-    Scale(Vec<Complex>),
-    /// An operator whose one nonzero entry, `coeff`, lies off the diagonal
-    /// at `(to, from)`, such as a damping jump: level `from` moves to level
-    /// `to`, and every other level is cleared.
-    Jump {
-        from: usize,
-        to: usize,
-        coeff: Complex,
-    },
-    /// Any other operator: its plan, then one scale pass.
-    General(ApplyPlan),
-}
-
-impl KrausOp {
-    fn new(k: &CMatrix, dim: usize, width: usize, qudits: &[usize]) -> KrausOp {
-        if let Some(diagonal) = k.as_diagonal(0.0) {
-            return KrausOp::Scale(diagonal);
-        }
-        let mut nonzero = (0..k.rows())
-            .flat_map(|r| (0..k.cols()).map(move |c| (r, c)))
-            .filter(|&(r, c)| k.get(r, c) != Complex::ZERO);
-        match (nonzero.next(), nonzero.next()) {
-            (Some((to, from)), None) => KrausOp::Jump {
-                from,
-                to,
-                coeff: k.get(to, from),
-            },
-            _ => KrausOp::General(ApplyPlan::for_matrix(dim, width, k, qudits)),
-        }
-    }
-}
-
-impl KrausSite {
-    fn new(operators: &[CMatrix], dim: usize, width: usize, qudits: &[usize]) -> KrausSite {
-        let effects: Vec<CMatrix> = operators.iter().map(|k| &k.adjoint() * k).collect();
-        let diagonals: Option<Vec<Vec<Complex>>> =
-            effects.iter().map(|e| e.as_diagonal(0.0)).collect();
-        let effects = match diagonals {
-            Some(diagonals) => {
-                Effects::Diagonal(diagonals.iter().flatten().map(|e| e.re).collect())
-            }
-            None => Effects::Dense(effects.iter().flat_map(|e| e.as_slice()).copied().collect()),
-        };
-        KrausSite {
-            qudits: qudits.to_vec(),
-            layout: SiteLayout::new(dim, width, qudits),
-            effects,
-            ops: operators
-                .iter()
-                .map(|k| KrausOp::new(k, dim, width, qudits))
-                .collect(),
-        }
-    }
-
-    /// Every branch weight `p_i = tr(K_i†K_i ρ_S)` of `state`, from one
-    /// read-only pass, in `scratch.probs`.
-    fn weights<'s>(&self, state: &StateVector, scratch: &'s mut Scratch) -> &'s [f64] {
-        self.layout.check(state);
-        let amps = state.amplitudes();
-        let levels = self.layout.offsets.len();
-        scratch.probs.clear();
-        match &self.effects {
-            Effects::Diagonal(diagonals) => {
-                let pops = &mut scratch.reals;
-                pops.clear();
-                pops.resize(levels, 0.0);
-                self.layout.populations(amps, pops);
-                let weights = diagonals.chunks_exact(levels).map(|e| dot(e, pops));
-                scratch.probs.extend(weights);
-            }
-            Effects::Dense(effects) => {
-                let rho = &mut scratch.complexes;
-                rho.clear();
-                rho.resize(levels * levels, Complex::ZERO);
-                self.layout.reduced_density(amps, rho);
-                // tr(E ρ) = Σ_ab E[a][b]·ρ[b][a]; both are Hermitian, so
-                // the trace is real.
-                let weights = effects.chunks_exact(levels * levels).map(|e| {
-                    (0..levels * levels)
-                        .map(|ab| (e[ab] * rho[ab % levels * levels + ab / levels]).re)
-                        .sum::<f64>()
-                });
-                scratch.probs.extend(weights);
-            }
-        }
-        &scratch.probs
-    }
-
-    /// Applies branch `i` in place, divided by `√p` — the branch's weight
-    /// on this state — so the state leaves at unit norm.
-    fn apply(&self, state: &mut StateVector, i: usize, p: f64) {
-        self.layout.check(state);
-        // A drawn branch has p > 0 (see `draw`); the guard keeps a zero
-        // state zero, as renormalising it would.
-        let inv = if p > 0.0 { 1.0 / p.sqrt() } else { 1.0 };
-        match &self.ops[i] {
-            KrausOp::Scale(diagonal) => self.layout.scale(state.amplitudes_mut(), diagonal, inv),
-            KrausOp::Jump { from, to, coeff } => {
-                self.layout
-                    .jump(state.amplitudes_mut(), *from, *to, coeff.scale(inv))
-            }
-            KrausOp::General(plan) => {
-                plan.apply_sequential(state);
-                scale_run(state.amplitudes_mut(), Complex::real(inv));
-            }
-        }
-    }
-
-    /// The parts of a single-qudit site with diagonal effects and a real
-    /// diagonal `K_0` — amplitude damping — that the fused idle pass uses.
-    fn damping(&self) -> Option<Damping<'_>> {
-        match (&self.qudits[..], &self.effects, self.ops.first()) {
-            (&[qudit], Effects::Diagonal(effects), Some(KrausOp::Scale(no_jump)))
-                if no_jump.iter().all(|k| k.im == 0.0) =>
-            {
-                Some(Damping {
-                    site: self,
-                    qudit,
-                    effects,
-                    no_jump,
-                })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A damping site as the fused idle pass sees it.
-struct Damping<'a> {
-    site: &'a KrausSite,
-    qudit: usize,
-    /// The diagonal of every `K_i†K_i`, `d` entries per branch; the first
-    /// `d` are the no-jump weights `|K_0(l)|²`.
-    effects: &'a [f64],
-    /// The diagonal of `K_0`.
-    no_jump: &'a [Complex],
-}
-
-fn damping(channel: &CompiledChannel) -> Option<Damping<'_>> {
-    match &channel.kind {
-        CompiledKind::Kraus(site) => site.damping(),
-        CompiledKind::MixedUnitary { .. } => None,
-    }
-}
-
-/// Where a site's amplitude groups lie in the state. Qudit `q` is digit `q`
-/// from the most significant, with stride `dim^(width-1-q)`. Group `g`
-/// holds the amplitudes `base_g + offsets[a]` for the site's `D` levels `a`,
-/// and the group bases come in contiguous runs of `run`, the stride of the
-/// site's least significant qudit. Every pass therefore works on contiguous
-/// slices. The runs of a contiguous site come one block apart; otherwise an
-/// odometer over the `outer` strides steps from one run to the next, with
-/// no division either way.
-#[derive(Clone, Debug)]
-struct SiteLayout {
+struct Damping {
     dim: usize,
     width: usize,
-    offsets: Vec<usize>,
-    run: usize,
-    /// Strides of the qudits outside the site that are more significant
-    /// than its least significant qudit, most significant first.
-    outer: Vec<usize>,
-    /// Whether the site's qudits are consecutive and listed in ascending
-    /// order, as a single qudit always is: then the groups' runs tile
-    /// blocks of `D·run` contiguous amplitudes, and the runs come one block
-    /// apart.
-    contiguous: bool,
+    qudit: usize,
+    /// The diagonal of every `K_i†K_i`, `dim` entries per branch: first the
+    /// no-jump weights `|K_0(l)|²`, then each jump's `|coeff|²` on its
+    /// `from` level.
+    effects: Vec<f64>,
+    /// The real diagonal of `K_0`.
+    no_jump: Vec<f64>,
+    /// `K_1`, `K_2`, …
+    jumps: Vec<Jump>,
 }
 
-impl SiteLayout {
-    fn new(dim: usize, width: usize, qudits: &[usize]) -> SiteLayout {
-        for (i, &q) in qudits.iter().enumerate() {
-            assert!(q < width, "qudit index {q} out of range");
-            assert!(!qudits[..i].contains(&q), "repeated qudit index {q}");
-        }
-        let stride = |q: usize| dim.pow((width - 1 - q) as u32);
-        // The first listed qudit is the most significant digit of a level.
-        let offsets = (0..dim.pow(qudits.len() as u32))
-            .map(|level| {
-                let mut rest = level;
-                let mut offset = 0;
-                for &q in qudits.iter().rev() {
-                    offset += rest % dim * stride(q);
-                    rest /= dim;
-                }
-                offset
+/// A Kraus operator with at most one nonzero entry, `coeff` at `(to,
+/// from)`: level `from` moves to level `to`, and every other level is
+/// cleared. A zero operator has `coeff` 0 and is never drawn.
+#[derive(Clone, Copy, Debug)]
+struct Jump {
+    from: usize,
+    to: usize,
+    coeff: Complex,
+}
+
+impl Damping {
+    /// The damping form of `operators` on `qudits`, or `None` unless the
+    /// site is one qudit, `K_0` is real and diagonal, and every other `K_i`
+    /// has at most one nonzero entry.
+    fn new(operators: &[CMatrix], dim: usize, width: usize, qudits: &[usize]) -> Option<Damping> {
+        let (&[qudit], Some((k0, rest))) = (qudits, operators.split_first()) else {
+            return None;
+        };
+        assert!(qudit < width, "qudit index {qudit} out of range");
+        let no_jump: Vec<f64> = k0
+            .as_diagonal(0.0)?
+            .iter()
+            .map(|k| (k.im == 0.0).then_some(k.re))
+            .collect::<Option<_>>()?;
+        let jumps: Vec<Jump> = rest
+            .iter()
+            .map(|k| {
+                let mut nonzero = (0..k.rows())
+                    .flat_map(|r| (0..k.cols()).map(move |c| (r, c)))
+                    .filter(|&(r, c)| k.get(r, c) != Complex::ZERO);
+                let (to, from) = match (nonzero.next(), nonzero.next()) {
+                    (first, None) => first.unwrap_or((0, 0)),
+                    _ => return None,
+                };
+                Some(Jump {
+                    from,
+                    to,
+                    coeff: k.get(to, from),
+                })
             })
-            .collect();
-        let lowest = qudits.iter().copied().max();
-        SiteLayout {
+            .collect::<Option<_>>()?;
+        // `k·k` and `|coeff|²` equal the diagonal of `K_i†K_i`, bit for bit.
+        let mut effects = vec![0.0; dim * operators.len()];
+        for (e, k) in effects.iter_mut().zip(&no_jump) {
+            *e = k * k;
+        }
+        for (row, jump) in effects[dim..].chunks_exact_mut(dim).zip(&jumps) {
+            row[jump.from] = jump.coeff.norm_sqr();
+        }
+        Some(Damping {
             dim,
             width,
-            offsets,
-            run: lowest.map_or(dim.pow(width as u32), stride),
-            outer: (0..lowest.unwrap_or(0))
-                .filter(|q| !qudits.contains(q))
-                .map(stride)
-                .collect(),
-            contiguous: qudits.windows(2).all(|pair| pair[1] == pair[0] + 1),
-        }
+            qudit,
+            effects,
+            no_jump,
+            jumps,
+        })
     }
 
-    fn check(&self, state: &StateVector) {
-        assert_eq!(
-            (state.dim(), state.num_qudits()),
-            (self.dim, self.width),
-            "state shape does not match the channel site"
-        );
-    }
-
-    /// Calls `f` with the first group base of every run, in ascending order.
-    fn for_each_run(&self, mut f: impl FnMut(usize)) {
-        if self.contiguous {
-            let block = self.offsets.len() * self.run;
-            for base in (0..self.dim.pow(self.width as u32)).step_by(block) {
-                f(base);
+    /// Applies branch `i ≥ 1`, a jump, in place, divided by `√p` — the
+    /// branch's weight on this state — so the state leaves at unit norm.
+    fn jump(&self, amps: &mut [Complex], i: usize, p: f64) {
+        let Jump { from, to, coeff } = self.jumps[i - 1];
+        let c = coeff.scale(inv_sqrt(p));
+        let stride = self.dim.pow((self.width - 1 - self.qudit) as u32);
+        for block in amps.chunks_exact_mut(self.dim * stride) {
+            for x in 0..stride {
+                block[to * stride + x] = block[from * stride + x] * c;
             }
-            return;
-        }
-        // A register has fewer qudits than a usize has bits.
-        let mut digits = [0usize; usize::BITS as usize];
-        let mut base = 0;
-        loop {
-            f(base);
-            let mut i = self.outer.len();
-            loop {
-                if i == 0 {
-                    return;
-                }
-                i -= 1;
-                base += self.outer[i];
-                digits[i] += 1;
-                if digits[i] < self.dim {
-                    break;
-                }
-                base -= self.dim * self.outer[i];
-                digits[i] = 0;
-            }
-        }
-    }
-
-    /// Adds each level's population `ρ_S[a][a]` into `pops`.
-    fn populations(&self, amps: &[Complex], pops: &mut [f64]) {
-        self.for_each_run(|base| {
-            for (pop, &offset) in pops.iter_mut().zip(&self.offsets) {
-                *pop += norm_sqr_sum(&amps[base + offset..][..self.run]);
-            }
-        });
-    }
-
-    /// Adds the site's reduced density matrix `ρ_S`, row-major, into `rho`.
-    fn reduced_density(&self, amps: &[Complex], rho: &mut [Complex]) {
-        let levels = self.offsets.len();
-        self.for_each_run(|base| {
-            for (row, &a) in rho.chunks_exact_mut(levels).zip(&self.offsets) {
-                let xs = &amps[base + a..][..self.run];
-                for (entry, &b) in row.iter_mut().zip(&self.offsets) {
-                    let ys = &amps[base + b..][..self.run];
-                    *entry += xs.iter().zip(ys).map(|(x, y)| *x * y.conj()).sum();
+            for (level, run) in block.chunks_exact_mut(stride).enumerate() {
+                if level != to {
+                    run.fill(Complex::ZERO);
                 }
             }
-        });
-    }
-
-    /// Multiplies level `a` of every group by `diagonal[a]·inv`.
-    fn scale(&self, amps: &mut [Complex], diagonal: &[Complex], inv: f64) {
-        self.for_each_run(|base| {
-            for (&offset, &k) in self.offsets.iter().zip(diagonal) {
-                scale_run(&mut amps[base + offset..][..self.run], k.scale(inv));
-            }
-        });
-    }
-
-    /// Moves level `from` of every group to level `to`, times `coeff`, and
-    /// clears every other level.
-    fn jump(&self, amps: &mut [Complex], from: usize, to: usize, coeff: Complex) {
-        let (from, to) = (self.offsets[from], self.offsets[to]);
-        self.for_each_run(|base| {
-            for x in base..base + self.run {
-                amps[x + to] = amps[x + from] * coeff;
-            }
-            for &offset in self.offsets.iter().filter(|&&offset| offset != to) {
-                amps[base + offset..][..self.run].fill(Complex::ZERO);
-            }
-        });
+        }
     }
 }
 
-/// Applies a frame's idle group, `sites` in order, and returns `true`; or
-/// returns `false`, having touched nothing, unless every site is a
-/// single-qudit Kraus channel with a real diagonal `K_0` and diagonal
-/// `K_i†K_i`s (amplitude damping), the qudits strictly ascend, and
-/// `dim ≤ BLOCK`.
+/// `1/√p` for a drawn branch's weight `p`. A drawn branch has `p > 0` (see
+/// [`draw`]); the guard keeps a zero state zero, as renormalising it would.
+fn inv_sqrt(p: f64) -> f64 {
+    if p > 0.0 {
+        1.0 / p.sqrt()
+    } else {
+        1.0
+    }
+}
+
+/// Applies a frame's idle group, `sites` in order, to `state`, leaving it
+/// at unit norm.
+///
+/// The caller guarantees what `build_noise_sites` builds, and nothing here
+/// checks it: every site compiled to the damping form (`Channel::compile`
+/// chooses it for every damping channel) for the state's shape, on qudits
+/// that strictly ascend.
 ///
 /// Site-by-site sampling weighs site `j`'s branches on the state after `j`
 /// no-jump sites. Up to their common norm, those weights are
@@ -652,51 +482,31 @@ impl SiteLayout {
 /// order, one uniform each, as site-by-site sampling draws them. If none
 /// jumps, one walk applies the product of the `K_0`s with its
 /// normalisation. At the first jump the pending product is applied, then
-/// the jump, and the rest of the group starts over on the new state. Either
-/// way the state leaves at unit norm. Scratch is `O(width·dim)` plus one
-/// `BLOCK`-entry table.
+/// the jump, and the rest of the group starts over on the new state.
+/// Scratch is `O(width·dim)` plus one `BLOCK`-entry table.
 pub(crate) fn apply_idle_group<R: Rng + ?Sized>(
     sites: &[CompiledChannel],
     state: &mut StateVector,
     rng: &mut R,
-) -> bool {
-    let (dim, width) = (state.dim(), state.num_qudits());
-    if dim > BLOCK {
-        return false;
-    }
-    let mut last = None;
-    for site in sites {
-        match damping(site) {
-            Some(d)
-                if last.is_none_or(|q| d.qudit > q)
-                    && (d.site.layout.dim, d.site.layout.width) == (dim, width) =>
-            {
-                last = Some(d.qudit)
-            }
-            _ => return false,
-        }
-    }
+) {
     let mut rest = sites;
-    while !rest.is_empty() {
-        match SCRATCH.with_borrow_mut(|scratch| idle_pass(rest, state, rng, scratch)) {
-            Some(jumped) => rest = &rest[jumped + 1..],
-            None => break,
-        }
+    while let Some((jumped, _)) =
+        SCRATCH.with_borrow_mut(|scratch| idle_pass(rest, state, rng, scratch))
+    {
+        rest = &rest[jumped + 1..];
     }
-    true
 }
 
 /// One fused pass of [`apply_idle_group`] over `sites`, all damping sites
-/// on ascending qudits. Returns the index of the first site that jumped,
-/// having applied the group up to and including it, or `None` once the
-/// whole group is applied.
+/// on ascending qudits. Returns the index of the first site that jumped
+/// and its branch, having applied the group up to and including it, or
+/// `None` once the whole group is applied.
 fn idle_pass<R: Rng + ?Sized>(
     sites: &[CompiledChannel],
     state: &mut StateVector,
     rng: &mut R,
     scratch: &mut Scratch,
-) -> Option<usize> {
-    let damping = |site| damping(site).expect("every site is checked first");
+) -> Option<(usize, usize)> {
     let (dim, width) = (state.dim(), state.num_qudits());
     let Scratch { reals, probs, .. } = scratch;
     // Per qudit and level: the no-jump weight |K_0(l)|² and factor K_0(l)
@@ -712,19 +522,17 @@ fn idle_pass<R: Rng + ?Sized>(
     weights.fill(1.0);
     factors.fill(1.0);
     for site in sites {
-        let d = damping(site);
+        let d = site.damping();
         let cell = d.qudit * dim..(d.qudit + 1) * dim;
         weights[cell.clone()].copy_from_slice(&d.effects[..dim]);
-        for (f, k) in factors[cell].iter_mut().zip(d.no_jump) {
-            *f = k.re;
-        }
+        factors[cell].copy_from_slice(&d.no_jump);
     }
     acc.fill(0.0);
     weigh(state.amplitudes(), dim, weights, acc, block);
     // The squared norm of the state after the no-jump sites so far.
     let mut norm = 1.0_f64;
     for (j, site) in sites.iter().enumerate() {
-        let d = damping(site);
+        let d = site.damping();
         let populations = &acc[d.qudit * dim..][..dim];
         probs.clear();
         probs.extend(d.effects.chunks_exact(dim).map(|e| dot(e, populations)));
@@ -735,14 +543,14 @@ fn idle_pass<R: Rng + ?Sized>(
             } else {
                 // Only the no-jump factors of the sites before j are due.
                 for later in &sites[j..] {
-                    factors[damping(later).qudit * dim..][..dim].fill(1.0);
+                    factors[later.damping().qudit * dim..][..dim].fill(1.0);
                 }
                 let c = 1.0 / norm.sqrt();
                 scale(state.amplitudes_mut(), dim, factors, c, block);
                 probs[chosen] / norm
             };
-            d.site.apply(state, chosen, p);
-            return Some(j);
+            d.jump(state.amplitudes_mut(), chosen, p);
+            return Some((j, chosen));
         }
         norm = probs[0];
     }
@@ -910,38 +718,6 @@ fn products(rows: &[f64], d: usize, out: &mut [f64]) {
             *x *= row[0];
         }
         m *= d;
-    }
-}
-
-/// `Σ |a|²` over a contiguous run. A long run sums into eight accumulators
-/// (real and imaginary parts apart), so it is not bound by the latency of
-/// one chain of additions and the compiler can vectorise it.
-fn norm_sqr_sum(run: &[Complex]) -> f64 {
-    if run.len() < 8 {
-        return run.iter().map(|a| a.norm_sqr()).sum();
-    }
-    let mut acc = [0.0; 8];
-    let mut quads = run.chunks_exact(4);
-    for quad in &mut quads {
-        for (pair, a) in acc.chunks_exact_mut(2).zip(quad) {
-            pair[0] += a.re * a.re;
-            pair[1] += a.im * a.im;
-        }
-    }
-    let tail: f64 = quads.remainder().iter().map(|a| a.norm_sqr()).sum();
-    acc.iter().sum::<f64>() + tail
-}
-
-/// Multiplies a contiguous run by `c`, as a real scale when `c` is real.
-fn scale_run(run: &mut [Complex], c: Complex) {
-    if c.im == 0.0 {
-        for a in run {
-            *a = a.scale(c.re);
-        }
-    } else {
-        for a in run {
-            *a *= c;
-        }
     }
 }
 
@@ -1240,11 +1016,10 @@ mod tests {
         assert!(jumps > 50, "only {jumps} non-identity branches drawn");
     }
 
-    #[test]
-    fn general_and_two_qudit_kraus_sites_match_the_reference() {
-        // Effects that are not diagonal take the ρ_S pass and the plan arm;
-        // a two-qudit damping product on out-of-order qudits takes the
-        // scale, jump and plan arms over a multi-qudit layout.
+    /// Kraus channels that are not single-qudit damping, on qutrits: weak
+    /// measurements on one and on two qudits, whose `K_i` are dense, and
+    /// the two-qudit product of two damping channels.
+    fn plan_form_channels() -> [Channel; 3] {
         let weak_measurement = |w: &CMatrix, a: &[f64]| {
             let root = |f: &dyn Fn(f64) -> f64| {
                 let diag: Vec<Complex> = a.iter().map(|&x| Complex::real(f(x))).collect();
@@ -1255,18 +1030,27 @@ mod tests {
             }
         };
         let h3 = gates::qutrit::h3();
-        let one = weak_measurement(&h3, &[0.1, 0.5, 0.8]);
-        let two = weak_measurement(
-            &h3.kron(&h3),
-            &[0.1, 0.9, 0.5, 0.3, 0.7, 0.2, 0.6, 0.4, 0.8],
-        );
-        let Channel::Kraus { operators: k } = crate::damping::qutrit_damping(0.4, 0.6).unwrap()
-        else {
+        let Channel::Kraus { operators: k } = damping(3, 0.4, 0.6) else {
             unreachable!("damping is a Kraus channel")
         };
-        let product = Channel::Kraus {
-            operators: k.iter().flat_map(|a| k.iter().map(|b| a.kron(b))).collect(),
-        };
+        [
+            weak_measurement(&h3, &[0.1, 0.5, 0.8]),
+            weak_measurement(
+                &h3.kron(&h3),
+                &[0.1, 0.9, 0.5, 0.3, 0.7, 0.2, 0.6, 0.4, 0.8],
+            ),
+            Channel::Kraus {
+                operators: k.iter().flat_map(|a| k.iter().map(|b| a.kron(b))).collect(),
+            },
+        ]
+    }
+
+    #[test]
+    fn general_and_two_qudit_kraus_sites_match_the_reference() {
+        // Every branch goes through its plan; the damping product runs on
+        // out-of-order qudits, and its branches include operators with one
+        // nonzero entry and dense ones.
+        let [one, two, product] = plan_form_channels();
         for channel in [&one, &two, &product] {
             channel.validate().unwrap();
         }
@@ -1287,12 +1071,88 @@ mod tests {
                 ));
             }
         }
-        // Branch 3a + b is K_a ⊗ K_b: a jump when a, b ≥ 1 (one nonzero
-        // entry), a general operator when exactly one of them is 0.
+        // Branch 3a + b is K_a ⊗ K_b: one nonzero entry when a, b ≥ 1,
+        // several when exactly one of them is 0.
         assert!(product_branches.iter().any(|&i| i / 3 > 0 && i % 3 > 0));
         assert!(product_branches
             .iter()
             .any(|&i| (i / 3 == 0) != (i % 3 == 0)));
+    }
+
+    #[test]
+    fn idle_group_matches_the_reference_chain() {
+        // Damping strong enough that a frame's first jump lands on its first
+        // site, a middle one, its last one, or none; some frames jump twice.
+        // Equal amplitudes on a random state pin the group's branches.
+        let width = 5;
+        let mut first_jumps = std::collections::BTreeSet::new();
+        let mut double_jumps = 0;
+        for (dim, channel) in [(2, damping(2, 0.2, 0.0)), (3, damping(3, 0.15, 0.25))] {
+            let sites: Vec<CompiledChannel> = (0..width)
+                .map(|q| channel.compile(dim, width, &[q]))
+                .collect();
+            for seed in 0..64u64 {
+                let mut input_rng = StdRng::seed_from_u64(1000 + seed);
+                let mut chain = random_state(dim, width, &mut input_rng).unwrap();
+                let mut fused = chain.clone();
+                let (mut rng_a, mut rng_b) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let (branches, near_cuts): (Vec<usize>, Vec<bool>) = (0..width)
+                    .map(|q| reference_step(&channel, &mut chain, &[q], &mut rng_a))
+                    .unzip();
+                apply_idle_group(&sites, &mut fused, &mut rng_b);
+                let equal = (chain.amplitudes().iter().zip(fused.amplitudes()))
+                    .all(|(x, y)| x.approx_eq(*y, 1e-12));
+                if !equal && near_cuts.contains(&true) {
+                    eprintln!("d {dim}, seed {seed}: a draw is within 1e-12·Σp of a cut");
+                    continue;
+                }
+                assert!(equal, "d {dim}, seed {seed}, branches {branches:?}");
+                assert!((fused.norm() - 1.0).abs() < 1e-12);
+                // Both consumed the same draws.
+                let next = |rng: &mut StdRng| rng.gen_range(0.0..1.0f64).to_bits();
+                assert_eq!(next(&mut rng_a), next(&mut rng_b), "d {dim}, seed {seed}");
+                double_jumps += usize::from(branches.iter().filter(|&&b| b != 0).count() > 1);
+                first_jumps.insert(match branches.iter().position(|&b| b != 0) {
+                    None => "none",
+                    Some(0) => "first",
+                    Some(j) if j == width - 1 => "last",
+                    Some(_) => "middle",
+                });
+            }
+        }
+        assert_eq!(first_jumps.len(), 4, "first jumps: {first_jumps:?}");
+        assert!(double_jumps > 0);
+    }
+
+    #[test]
+    fn every_damping_channel_compiles_to_the_damping_form() {
+        // λ = 0 (dt = 0) makes the jumps zero matrices, λ = 1 (dt = ∞)
+        // zeroes K_0's excited levels; dt = 300 ns is the paper's scale.
+        // Idle sites rely on this: `apply_idle_group` expects the form.
+        let t1 = 1e-3;
+        for dim in [2, 3] {
+            for dt in [0.0, 300e-9, f64::INFINITY] {
+                let lambda = |m| crate::damping::lambda_m(m, dt, t1);
+                let channels = [
+                    damping(dim, lambda(1), lambda(2)),
+                    crate::damping::idle_damping_channel(dim, dt, t1).unwrap(),
+                ];
+                for width in 1..=4 {
+                    for q in 0..width {
+                        for channel in &channels {
+                            let compiled = channel.compile(dim, width, &[q]);
+                            assert!(matches!(compiled.kind, CompiledKind::Damping(_)));
+                        }
+                    }
+                }
+            }
+        }
+        let [one, two, product] = plan_form_channels();
+        for (channel, qudits) in [(one, &[1][..]), (two, &[0, 1]), (product, &[1, 0])] {
+            let compiled = channel.compile(3, 2, qudits);
+            assert!(matches!(compiled.kind, CompiledKind::Kraus(_)));
+        }
     }
 
     #[test]

@@ -496,7 +496,8 @@ fn duration_seconds(duration: FrameDuration, model: &NoiseModel) -> f64 {
 /// applies.
 ///
 /// `T` is the backend-specific per-site artifact: [`CompiledChannel`]
-/// (branch plans) for the trajectory engine, a superoperator
+/// (branch plans, or the damping form every idle site compiles to) for
+/// the trajectory engine, a superoperator
 /// [`ApplyPlan`](qudit_sim::ApplyPlan) for the exact engine. Both engines
 /// build through [`build_noise_sites`], so which channels exist at which
 /// sites is defined in exactly one place.
@@ -524,9 +525,10 @@ pub(crate) trait NoisyState {
     /// Applies one channel site.
     fn channel(&mut self, site: &Self::Site);
     /// Applies a frame's idle group: the T1 damping sites of its qudits, in
-    /// qudit order. The default applies them one by one, as `channel`
-    /// does; a backend may apply the group in fewer passes, provided it
-    /// draws each site's branch as that loop would.
+    /// ascending qudit order, each compiled for the register's shape. The
+    /// default applies them one by one, as `channel` does; the trajectory
+    /// engine weighs and applies the whole group in one walk of the state,
+    /// drawing each site's branch as that loop would.
     fn idle(&mut self, sites: &[Self::Site]) {
         for site in sites {
             self.channel(site);
@@ -775,16 +777,12 @@ impl NoisyState for Trial<'_> {
         site.apply_trajectory(&mut self.state, &mut self.rng);
     }
 
-    /// Damping sites go through `apply_idle_group`: one read pass and one
-    /// write pass for the whole group while no site jumps. Every Kraus
-    /// branch divides by its own norm, so the group leaves the state at
-    /// unit norm and the frame's crosstalk phases keep it there.
+    /// The group goes through `apply_idle_group`, the one T1 sampler: one
+    /// read walk and one write walk while no site jumps. Every branch
+    /// divides by its own norm, so the group leaves the state at unit norm
+    /// and the frame's crosstalk phases keep it there.
     fn idle(&mut self, sites: &[CompiledChannel]) {
-        if !apply_idle_group(sites, &mut self.state, &mut self.rng) {
-            for site in sites {
-                self.channel(site);
-            }
-        }
+        apply_idle_group(sites, &mut self.state, &mut self.rng);
         self.normalised = !sites.is_empty();
     }
 
@@ -946,52 +944,6 @@ mod tests {
         simulator(circuit, model, config.level)
             .run_with_precision(config, &Precision::FixedTrials, &CancelToken::never())
             .unwrap()
-    }
-
-    #[test]
-    fn fused_idle_matches_the_per_site_loop() {
-        // Damping strong enough that a frame's first jump lands on its first
-        // site, a middle one, its last one, or none; some frames jump twice.
-        let width = 5;
-        let mut first_jumps = std::collections::BTreeSet::new();
-        let mut double_jumps = 0;
-        for (dim, channel) in [
-            (2, crate::damping::qubit_damping(0.2).unwrap()),
-            (3, crate::damping::qutrit_damping(0.15, 0.25).unwrap()),
-        ] {
-            let sites: Vec<CompiledChannel> = (0..width)
-                .map(|q| channel.compile(dim, width, &[q]))
-                .collect();
-            let compiled = Simulator::new().compile(&Circuit::new(dim, width));
-            for seed in 0..64u64 {
-                let mut input_rng = StdRng::seed_from_u64(1000 + seed);
-                let start = qudit_core::random_state(dim, width, &mut input_rng).unwrap();
-                let mut per_site = start.clone();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let branches: Vec<usize> = sites
-                    .iter()
-                    .map(|site| site.apply_trajectory(&mut per_site, &mut rng))
-                    .collect();
-                let mut fused = Trial::new(&compiled, start, StdRng::seed_from_u64(seed));
-                fused.idle(&sites);
-                for (x, y) in per_site.amplitudes().iter().zip(fused.state.amplitudes()) {
-                    assert!(x.approx_eq(*y, 1e-12), "seed {seed}, branches {branches:?}");
-                }
-                assert!((fused.state.norm() - 1.0).abs() < 1e-12);
-                // Both consumed the same draws.
-                let next = |rng: &mut StdRng| rng.gen_range(0.0..1.0f64).to_bits();
-                assert_eq!(next(&mut rng), next(&mut fused.rng), "seed {seed}");
-                double_jumps += usize::from(branches.iter().filter(|&&b| b != 0).count() > 1);
-                first_jumps.insert(match branches.iter().position(|&b| b != 0) {
-                    None => "none",
-                    Some(0) => "first",
-                    Some(j) if j == width - 1 => "last",
-                    Some(_) => "middle",
-                });
-            }
-        }
-        assert_eq!(first_jumps.len(), 4, "first jumps: {first_jumps:?}");
-        assert!(double_jumps > 0);
     }
 
     #[test]
