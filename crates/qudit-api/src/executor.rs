@@ -4,6 +4,7 @@ use crate::error::{ApiError, ApiResult};
 use crate::result::{ExecutionResult, Outcome, OutputState};
 use crate::spec::JobSpec;
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
+use qudit_circuit::routing::{invert, permutation_swaps};
 use qudit_circuit::{Circuit, Gate, Operation, RoutingSummary, Topology};
 use qudit_core::StateVector;
 use qudit_noise::{
@@ -615,8 +616,9 @@ impl Executor {
 /// explicit basis state is relabeled onto the placement's sites, so logical
 /// qudit `q` starts in its requested digit wherever it was placed. The
 /// all-ones and random-qubit-subspace distributions are site-symmetric —
-/// every noisy run compares against the ideal evolution of the *same*
-/// routed circuit on the *same* input, so relabeling them changes nothing.
+/// every noisy run compares against an ideal evolution with the routed
+/// circuit's unitary (its `CompiledIr::reference_circuit`) on the *same*
+/// input, so relabeling them changes nothing.
 fn routed_input(input: &InputState, routing: Option<&RoutingSummary>) -> InputState {
     match (routing, input) {
         (Some(summary), InputState::Basis(digits)) => {
@@ -630,37 +632,16 @@ fn routed_input(input: &InputState, routing: Option<&RoutingSummary>) -> InputSt
     }
 }
 
-/// The inverse of a permutation given as `map[q] = target position`.
-fn invert(map: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; map.len()];
-    for (q, &site) in map.iter().enumerate() {
-        inv[site] = q;
-    }
-    inv
-}
-
 /// Applies the qudit permutation `map` (qudit `q` moves to position
-/// `map[q]`) to a density matrix by decomposing it into SWAP
-/// transpositions — the density backend has no native relabel, and a
-/// handful of two-qudit SWAPs is noise next to the `O(d^2n)` evolution the
-/// caller just paid for.
+/// `map[q]`) to a density matrix through its SWAP transpositions
+/// ([`permutation_swaps`]) — the density backend has no native relabel,
+/// and a handful of two-qudit SWAPs is noise next to the `O(d^2n)`
+/// evolution the caller just paid for.
 fn permute_density(rho: &mut DensityMatrix, map: &[usize], dim: usize) {
-    let inv = invert(map);
-    let mut location: Vec<usize> = (0..map.len()).collect();
-    let mut holds: Vec<usize> = (0..map.len()).collect();
-    for target in 0..map.len() {
-        let wanted = inv[target];
-        let current = location[wanted];
-        if current != target {
-            let op = Operation::new(Gate::swap(dim), Vec::new(), vec![target, current])
-                .expect("SWAP on two distinct qudits is a valid operation");
-            rho.apply_operation(&op);
-            let displaced = holds[target];
-            holds[target] = wanted;
-            holds[current] = displaced;
-            location[wanted] = target;
-            location[displaced] = current;
-        }
+    for pair in permutation_swaps(map) {
+        let op = Operation::new(Gate::swap(dim), Vec::new(), pair.to_vec())
+            .expect("SWAP on two distinct qudits is a valid operation");
+        rho.apply_operation(&op);
     }
 }
 

@@ -1078,6 +1078,7 @@ impl PassManager {
             });
         }
         CompiledIr {
+            source: circuit.clone(),
             schedule: ir.schedule.take().expect("materialised above"),
             circuit: ir.circuit,
             kernel_tags,
@@ -1095,15 +1096,20 @@ impl PassManager {
 }
 
 /// The pipeline's output: the transformed circuit, its schedule, the
-/// per-operation kernel tags and the full [`PipelineReport`].
+/// per-operation kernel tags and the full [`PipelineReport`], plus the
+/// source circuit the pipeline started from.
 ///
 /// This is what the simulation layer compiles: `CompiledCircuit` /
 /// `CompiledDensityCircuit` in `qudit-sim` build their per-operation plans
-/// from `circuit()` (in op order, index-aligned with `schedule()`), and the
-/// noise simulators drive their moment replay and idle-error accounting off
-/// `schedule()`.
+/// from `circuit()` (in op order, index-aligned with `schedule()`). The
+/// noise backends charge their errors on `circuit()`, frame by frame:
+/// `frames()` at the `Physical` levels, the moments of `schedule()` at
+/// [`PassLevel::NoisePreserving`]. Their noise-free reference output comes
+/// from [`CompiledIr::reference_circuit`] instead, compiled at
+/// [`PassLevel::Ideal`].
 #[derive(Clone, Debug)]
 pub struct CompiledIr {
+    source: Circuit,
     circuit: Circuit,
     schedule: Schedule,
     kernel_tags: Vec<KernelClass>,
@@ -1159,6 +1165,36 @@ impl CompiledIr {
         &self.report
     }
 
+    /// A circuit with the same unitary as [`CompiledIr::circuit`], built
+    /// from the source circuit rather than the pipeline's output, so it
+    /// holds none of the lowering. Without routing it is the source
+    /// itself. A routed IR's circuit acts on sites, so its reference is
+    /// the source relabelled through the routing placement, followed by the
+    /// SWAPs ([`permutation_swaps`](crate::routing::permutation_swaps))
+    /// that carry each qudit's state from its placement to its final
+    /// mapping. Compiled at [`PassLevel::Ideal`] it is the cheapest
+    /// noise-free replay of `circuit()` — the noise backends' reference.
+    pub fn reference_circuit(&self) -> Circuit {
+        let Some(summary) = &self.routing else {
+            return self.source.clone();
+        };
+        let width = self.source.width();
+        let mut reference = self
+            .source
+            .remap(&summary.placement, width)
+            .expect("a placement is a permutation of the register");
+        let mut carry = vec![0; width];
+        for (q, &site) in summary.placement.iter().enumerate() {
+            carry[site] = summary.final_mapping[q];
+        }
+        for pair in crate::routing::permutation_swaps(&carry) {
+            reference
+                .push_gate(Gate::swap(reference.dim()), &pair)
+                .expect("a SWAP on two distinct sites is a valid operation");
+        }
+        reference
+    }
+
     /// Decomposes into the owned circuit, schedule and report.
     pub fn into_parts(self) -> (Circuit, Schedule, PipelineReport) {
         (self.circuit, self.schedule, self.report)
@@ -1167,9 +1203,11 @@ impl CompiledIr {
 
 /// Runs the standard pipeline for `level` over a circuit.
 ///
-/// This is the compile path the simulation backends use: noise-free
-/// compilation goes through [`PassLevel::Ideal`], both noise backends
-/// through [`PassLevel::NoisePreserving`].
+/// This is the compile path the simulation backends use. A job compiles at
+/// its own level. The noise backends charge their errors on a
+/// [`PassLevel::Physical`] or [`PassLevel::NoisePreserving`] compile and
+/// replay their noise-free reference from the [`PassLevel::Ideal`] compile
+/// of its [`CompiledIr::reference_circuit`].
 pub fn compile(circuit: &Circuit, level: PassLevel) -> CompiledIr {
     PassManager::standard(level).compile(circuit)
 }
@@ -1223,6 +1261,18 @@ mod tests {
         assert_eq!(ir.circuit(), &c, "op list must be untouched");
         assert_eq!(ir.schedule(), &Schedule::asap(&c));
         assert_eq!(ir.report().post.total_ops(), c.len());
+    }
+
+    #[test]
+    fn reference_circuit_is_the_source_without_routing() {
+        let c = toffoli_fig4();
+        for level in [
+            PassLevel::Ideal,
+            PassLevel::Physical,
+            PassLevel::NoisePreserving,
+        ] {
+            assert_eq!(compile(&c, level).reference_circuit(), c);
+        }
     }
 
     #[test]

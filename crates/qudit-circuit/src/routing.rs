@@ -358,13 +358,44 @@ fn apply_swap(l2p: &mut [usize], p2l: &mut [usize], u: usize, v: usize) {
     p2l.swap(u, v);
 }
 
-/// The inverse of a logical→site bijection.
-fn invert(l2p: &[usize]) -> Vec<usize> {
-    let mut p2l = vec![usize::MAX; l2p.len()];
-    for (q, &s) in l2p.iter().enumerate() {
-        p2l[s] = q;
+/// The inverse of a permutation of `0..map.len()`: `invert(map)[map[q]]`
+/// is `q`. Inverting a logical→site mapping gives the site→logical one.
+pub fn invert(map: &[usize]) -> Vec<usize> {
+    let mut inverse = vec![usize::MAX; map.len()];
+    for (q, &s) in map.iter().enumerate() {
+        inverse[s] = q;
     }
-    p2l
+    inverse
+}
+
+/// The transpositions that move the state of qudit `q` to position
+/// `map[q]`, for a permutation `map` of `0..map.len()`: at most
+/// `map.len() − 1` qudit pairs, to be swapped in order. This is the one
+/// place that decomposes a routing permutation into SWAPs — the ideal
+/// reference of a routed circuit ([`CompiledIr::reference_circuit`]) and
+/// the executor's un-embedding of a routed density matrix both use it.
+///
+/// [`CompiledIr::reference_circuit`]: crate::passes::CompiledIr::reference_circuit
+pub fn permutation_swaps(map: &[usize]) -> Vec<[usize; 2]> {
+    let inverse = invert(map);
+    // `location[q]`: where qudit q's state is now; `holds[s]`: whose state
+    // position s holds now.
+    let mut location: Vec<usize> = (0..map.len()).collect();
+    let mut holds: Vec<usize> = (0..map.len()).collect();
+    let mut swaps = Vec::new();
+    for target in 0..map.len() {
+        let wanted = inverse[target];
+        let current = location[wanted];
+        if current != target {
+            swaps.push([target, current]);
+            let displaced = holds[target];
+            holds[target] = wanted;
+            holds[current] = displaced;
+            location[wanted] = target;
+            location[displaced] = current;
+        }
+    }
+    swaps
 }
 
 /// Rewrites one operation's wires through the current logical→site mapping.
@@ -538,5 +569,29 @@ mod tests {
             charged(&weighted) < charged(&ring),
             "edge-aware routing must charge less poisoned-edge weight"
         );
+    }
+
+    #[test]
+    fn permutation_swaps_realise_every_permutation_of_four() {
+        // Every map of four positions into four, keeping the 24 bijections.
+        let all: Vec<Vec<usize>> = (0..256usize)
+            .map(|code| (0..4).map(|q| (code >> (2 * q)) & 3).collect::<Vec<_>>())
+            .filter(|map| (0..4).all(|p| map.contains(&p)))
+            .collect();
+        assert_eq!(all.len(), 24);
+        for map in all {
+            let swaps = permutation_swaps(&map);
+            assert!(swaps.len() < map.len());
+            // `holds[p]`: which qudit's state position p holds.
+            let mut holds: Vec<usize> = (0..map.len()).collect();
+            for [a, b] in swaps {
+                assert_ne!(a, b);
+                holds.swap(a, b);
+            }
+            for (q, &p) in map.iter().enumerate() {
+                assert_eq!(holds[p], q, "map {map:?}");
+            }
+            assert_eq!(invert(&invert(&map)), map);
+        }
     }
 }

@@ -115,16 +115,27 @@ impl StateVector {
             });
         }
         let mut amps = vec![Complex::ZERO; self.amps.len()];
-        // Per-qudit stride of the flat index, most significant digit first.
-        let stride: Vec<usize> = (0..n).map(|q| self.dim.pow((n - 1 - q) as u32)).collect();
-        for (idx, &amp) in self.amps.iter().enumerate() {
-            let digits = StateVector::decode_index(self.dim, n, idx);
-            let new_idx: usize = digits
-                .iter()
-                .enumerate()
-                .map(|(q, &d)| d * stride[map[q]])
-                .sum();
-            amps[new_idx] = amp;
+        // Walk the source indices in order with an odometer over their
+        // digits, carrying the destination index along: digit `q` of the
+        // source weighs `dest_stride[q]`, the stride of position `map[q]`
+        // (most significant digit first).
+        let dest_stride: Vec<usize> = map
+            .iter()
+            .map(|&m| self.dim.pow((n - 1 - m) as u32))
+            .collect();
+        let mut digits = vec![0usize; n];
+        let mut dest = 0usize;
+        for &amp in &self.amps {
+            amps[dest] = amp;
+            for q in (0..n).rev() {
+                digits[q] += 1;
+                dest += dest_stride[q];
+                if digits[q] < self.dim {
+                    break;
+                }
+                digits[q] = 0;
+                dest -= self.dim * dest_stride[q];
+            }
         }
         Ok(StateVector {
             dim: self.dim,
@@ -432,6 +443,54 @@ mod tests {
         // The identity map is the identity.
         let same = sv.permute_qudits(&[0, 1, 2]).unwrap();
         assert_eq!(same.amplitudes(), sv.amplitudes());
+    }
+
+    /// The per-index decode `permute_qudits` replaced: the oracle for its
+    /// stride walk.
+    fn permute_qudits_by_decoding(sv: &StateVector, map: &[usize]) -> Vec<Complex> {
+        let (dim, n) = (sv.dim(), sv.num_qudits());
+        let stride: Vec<usize> = (0..n).map(|q| dim.pow((n - 1 - q) as u32)).collect();
+        let mut amps = vec![Complex::ZERO; sv.len()];
+        for (idx, &amp) in sv.amplitudes().iter().enumerate() {
+            let digits = StateVector::decode_index(dim, n, idx);
+            let new_idx: usize = digits
+                .iter()
+                .enumerate()
+                .map(|(q, &d)| d * stride[map[q]])
+                .sum();
+            amps[new_idx] = amp;
+        }
+        amps
+    }
+
+    #[test]
+    fn permute_qudits_matches_the_per_index_decode() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for dim in [2usize, 3] {
+            for n in 1..=8 {
+                let amps: Vec<Complex> = (0..dim.pow(n as u32))
+                    .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect();
+                let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+                let amps = amps.into_iter().map(|a| a.scale(1.0 / norm)).collect();
+                let sv = StateVector::from_amplitudes(dim, n, amps).unwrap();
+                for _ in 0..4 {
+                    // Fisher–Yates over the qudit positions.
+                    let mut map: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        map.swap(i, rng.gen_range(0..i + 1));
+                    }
+                    let moved = sv.permute_qudits(&map).unwrap();
+                    assert_eq!(
+                        moved.amplitudes(),
+                        &permute_qudits_by_decoding(&sv, &map)[..],
+                        "d = {dim}, n = {n}, map {map:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

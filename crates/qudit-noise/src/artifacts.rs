@@ -9,8 +9,14 @@
 //!
 //! * the noise program itself (circuit + frames + error sites) — built
 //!   once per entry, model-independent;
-//! * the compiled ideal state-vector replay and noisy density replay of
-//!   the program circuit — built lazily, model-independent;
+//! * the ideal reference: the IR's
+//!   [`reference_circuit`](CompiledIr::reference_circuit) (the source
+//!   circuit, relabelled and followed by the residual SWAPs when routed)
+//!   compiled at [`PassLevel::Ideal`] for state-vector replay — both
+//!   engines' noise-free output, built lazily, model-independent;
+//! * the program circuit's state-vector plans (the trajectory engine's
+//!   noisy replay) and its `U·ρ·U†` density plans (the exact engine's) —
+//!   built lazily, model-independent;
 //! * the per-site channel artifacts (`NoiseSites`) — keyed by the noise
 //!   model's parameters, so a sweep over seeds/trial counts under one
 //!   model compiles its channels once, while distinct models still get
@@ -23,7 +29,8 @@ use crate::error::NoiseResult;
 use crate::kraus::{Channel, CompiledChannel};
 use crate::models::NoiseModel;
 use crate::trajectory::{build_noise_sites, NoiseProgram, NoiseSites};
-use qudit_circuit::passes::CompiledIr;
+use qudit_circuit::passes::{self, CompiledIr, PassLevel};
+use qudit_circuit::Circuit;
 use qudit_sim::{
     superoperator_targets, ApplyPlan, CompiledCircuit, CompiledDensityCircuit, Simulator,
 };
@@ -95,7 +102,10 @@ type SiteMemo<T> = Mutex<HashMap<ModelKey, Arc<NoiseSites<T>>>>;
 /// the first insert wins).
 pub struct SharedNoiseArtifacts {
     program: Arc<NoiseProgram>,
+    /// The circuit the ideal reference compiles from.
+    reference: Circuit,
     ideal: OnceLock<Arc<CompiledCircuit>>,
+    program_plans: OnceLock<Arc<CompiledCircuit>>,
     noisy_density: OnceLock<Arc<CompiledDensityCircuit>>,
     trajectory_sites: SiteMemo<CompiledChannel>,
     density_sites: SiteMemo<ApplyPlan>,
@@ -116,7 +126,9 @@ impl SharedNoiseArtifacts {
     pub fn from_ir(ir: &CompiledIr) -> NoiseResult<Self> {
         Ok(SharedNoiseArtifacts {
             program: Arc::new(NoiseProgram::from_ir(ir)?),
+            reference: ir.reference_circuit(),
             ideal: OnceLock::new(),
+            program_plans: OnceLock::new(),
             noisy_density: OnceLock::new(),
             trajectory_sites: SiteMemo::default(),
             density_sites: SiteMemo::default(),
@@ -130,11 +142,22 @@ impl SharedNoiseArtifacts {
         &self.program
     }
 
-    /// The program circuit compiled for state-vector replay, built through
-    /// `planner`'s plan cache on first use.
+    /// The ideal reference: the [`PassLevel::Ideal`] compile of the IR's
+    /// reference circuit, with the program circuit's unitary and none of
+    /// its lowering, built through `planner`'s plan cache on first use.
     pub(crate) fn ideal(&self, planner: &Simulator) -> Arc<CompiledCircuit> {
+        Arc::clone(self.ideal.get_or_init(|| {
+            let ir = passes::compile(&self.reference, PassLevel::Ideal);
+            Arc::new(planner.compile(ir.circuit()))
+        }))
+    }
+
+    /// The program circuit compiled for state-vector replay — the plans a
+    /// trajectory trial's noisy replay applies op by op — built through
+    /// `planner`'s plan cache on first use.
+    pub(crate) fn program_plans(&self, planner: &Simulator) -> Arc<CompiledCircuit> {
         Arc::clone(
-            self.ideal
+            self.program_plans
                 .get_or_init(|| Arc::new(planner.compile(&self.program.circuit))),
         )
     }
@@ -219,8 +242,13 @@ impl SharedNoiseArtifacts {
 mod tests {
     use super::*;
     use crate::models;
-    use qudit_circuit::passes::{self, PassLevel};
-    use qudit_circuit::{Circuit, Control, Gate};
+    use qudit_circuit::passes::compile_with_topology;
+    use qudit_circuit::{Control, Gate, Topology};
+    use qudit_core::random_qubit_subspace_state;
+    use qutrit_toffoli::baselines::{qubit_no_ancilla, qubit_one_dirty_ancilla};
+    use qutrit_toffoli::n_controlled_x;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn toffoli() -> Circuit {
         let mut c = Circuit::new(3, 3);
@@ -265,8 +293,70 @@ mod tests {
             &artifacts.ideal(&planner)
         ));
         assert!(Arc::ptr_eq(
+            &artifacts.program_plans(&planner),
+            &artifacts.program_plans(&planner)
+        ));
+        assert!(Arc::ptr_eq(
             &artifacts.noisy_density(),
             &artifacts.noisy_density()
         ));
+    }
+
+    /// A `rows × cols = width` grid, as square as `width` allows (a
+    /// prime width gives a one-row grid).
+    fn grid(width: usize) -> Topology {
+        let rows = (1..=width)
+            .filter(|&r| width.is_multiple_of(r) && r * r <= width)
+            .max()
+            .unwrap();
+        Topology::grid(rows, width / rows).unwrap()
+    }
+
+    #[test]
+    fn reference_replays_the_program_unitary() {
+        let planner = Simulator::new();
+        let mut rng = StdRng::seed_from_u64(2019);
+        for n in 2..=4 {
+            for circuit in [
+                n_controlled_x(n).unwrap(),
+                qubit_no_ancilla(n, 2).unwrap(),
+                qubit_one_dirty_ancilla(n, 2).unwrap(),
+            ] {
+                let (d, width) = (circuit.dim(), circuit.width());
+                for topology in [
+                    None,
+                    Some(Topology::linear(width).unwrap()),
+                    Some(Topology::ring(width).unwrap()),
+                    Some(grid(width)),
+                ] {
+                    for level in [PassLevel::Physical, PassLevel::NoisePreserving] {
+                        let ir = compile_with_topology(&circuit, level, topology.as_ref());
+                        let artifacts = SharedNoiseArtifacts::from_ir(&ir).unwrap();
+                        let reference = artifacts.ideal(&planner);
+                        let program = artifacts.program_plans(&planner);
+                        for _ in 0..3 {
+                            let input = random_qubit_subspace_state(d, width, &mut rng).unwrap();
+                            let ideal = reference.run_sequential(input.clone());
+                            let replayed = program.run_sequential(input);
+                            let infidelity = 1.0 - ideal.fidelity(&replayed);
+                            assert!(
+                                infidelity <= 1e-12,
+                                "d = {d}, {n} controls, {level:?} on {:?}: 1 − F = {infidelity:e}",
+                                topology.as_ref().map(Topology::kind)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_is_the_unlowered_source() {
+        let ir = passes::compile(&n_controlled_x(7).unwrap(), PassLevel::Physical);
+        let artifacts = SharedNoiseArtifacts::from_ir(&ir).unwrap();
+        let planner = Simulator::new();
+        assert_eq!(artifacts.program_plans(&planner).plans().len(), 79);
+        assert_eq!(artifacts.ideal(&planner).plans().len(), 7);
     }
 }

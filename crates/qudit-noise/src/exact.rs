@@ -17,8 +17,8 @@ use crate::cancel::CancelToken;
 use crate::error::NoiseResult;
 use crate::models::NoiseModel;
 use crate::trajectory::{
-    run_to_precision, FidelityEstimate, InputState, NoiseProgram, NoiseSites, NoisyState,
-    Precision, TrajectoryConfig,
+    run_to_precision, FidelityEstimate, NoiseProgram, NoiseSites, NoisyState, Precision,
+    TrajectoryConfig,
 };
 use qudit_core::StateVector;
 use qudit_sim::{ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulator};
@@ -30,9 +30,11 @@ use std::sync::Arc;
 /// a noise model.
 ///
 /// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
-/// `NoiseProgram`, the program circuit compiled twice — a state-vector
-/// [`CompiledCircuit`] for the ideal reference output and a
-/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution — and one
+/// `NoiseProgram`, the ideal reference — the state-vector
+/// [`CompiledCircuit`] of the circuit the job started from, compiled at
+/// [`PassLevel::Ideal`](qudit_circuit::PassLevel::Ideal), which the
+/// trajectory engine shares — the program circuit's
+/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution, and one
 /// superoperator [`ApplyPlan`] per (channel, site). Everything is
 /// immutable and `Sync`, so input averaging fans out across rayon workers.
 pub struct DensityNoiseSimulator {
@@ -47,11 +49,12 @@ pub struct DensityNoiseSimulator {
 
 impl DensityNoiseSimulator {
     /// Builds the simulator on memoized shared artifacts: the noise
-    /// program, both compiled replays and the per-site superoperator plans
-    /// are all shared — repeated constructions over the same cached circuit
-    /// entry build nothing at all. The accounting follows the level the
-    /// artifacts' IR was compiled at; the ideal reference's gate plans
-    /// compile through `planner`'s plan cache on first use.
+    /// program, the ideal reference, the density replay and the per-site
+    /// superoperator plans are all shared — repeated constructions over
+    /// the same cached circuit entry build nothing at all. The accounting
+    /// follows the level the artifacts' IR was compiled at; the ideal
+    /// reference's gate plans compile through `planner`'s plan cache on
+    /// first use.
     ///
     /// # Errors
     ///
@@ -112,10 +115,10 @@ impl DensityNoiseSimulator {
     /// Runs with the requested [`Precision`], checking `cancel` between
     /// frames of every evolution.
     ///
-    /// * A **deterministic input** ([`InputState::AllOnes`] /
-    ///   [`InputState::Basis`]) is one evolution at any precision: the
-    ///   value is ground truth with genuinely zero sampling error
-    ///   (`std_error` 0, one "trial").
+    /// * A **deterministic input**
+    ///   ([`InputState::is_deterministic`](crate::InputState::is_deterministic))
+    ///   is one evolution at any precision: the value is ground truth with
+    ///   genuinely zero sampling error (`std_error` 0, one "trial").
     /// * **Random inputs** run the trajectory engine's precision loop over
     ///   seeded input draws (the only stochastic axis the exact backend
     ///   has): [`Precision::FixedTrials`] averages `config.trials` draws,
@@ -134,7 +137,7 @@ impl DensityNoiseSimulator {
         precision: &Precision,
         cancel: &CancelToken,
     ) -> NoiseResult<FidelityEstimate> {
-        if config.input == InputState::RandomQubitSubspace {
+        if !config.input.is_deterministic() {
             return run_to_precision(config.trials, precision, cancel, None, |i| {
                 self.draw_fidelity(config, i, cancel)
             });
@@ -173,7 +176,7 @@ impl NoisyState for Evolution<'_> {
 mod tests {
     use super::*;
     use crate::models::{sc, sc_t1_gates};
-    use crate::{NoiseError, SharedNoiseArtifacts};
+    use crate::{InputState, NoiseError, SharedNoiseArtifacts};
     use qudit_circuit::passes::{self, PassLevel};
     use qudit_circuit::{Circuit, Control, Gate};
 

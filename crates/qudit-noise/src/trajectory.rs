@@ -60,6 +60,19 @@
 //!   typed error.
 //!
 //! [`TrajectoryConfig::level`] selects nothing: neither backend reads it.
+//!
+//! ## Ideal reference
+//!
+//! The noise is charged on the program circuit, but the noise-free output
+//! each fidelity compares against is not replayed from it. Both engines
+//! take it from the [`PassLevel::Ideal`] compile of the IR's
+//! [`reference_circuit`](CompiledIr::reference_circuit): the circuit the
+//! job started from (relabelled through the routing placement and followed
+//! by the residual SWAPs when the IR was routed), which has the program's
+//! unitary and none of its lowering — 7 operations at nCX(7), where the
+//! Physical program has 79. A deterministic input
+//! ([`InputState::is_deterministic`]) is drawn and its reference replayed
+//! once per run rather than once per trial.
 
 use crate::cancel::CancelToken;
 use crate::error::{NoiseError, NoiseResult};
@@ -108,6 +121,14 @@ impl InputState {
             InputState::AllOnes => StateVector::from_basis_state(dim, &vec![1usize; width]),
             InputState::Basis(digits) => StateVector::from_basis_state(dim, digits),
         }
+    }
+
+    /// Whether every draw gives the same state without consuming the RNG
+    /// ([`InputState::AllOnes`] and [`InputState::Basis`]). The engines
+    /// then draw the input and its ideal output once per run instead of
+    /// once per trial or draw.
+    pub fn is_deterministic(&self) -> bool {
+        !matches!(self, InputState::RandomQubitSubspace)
     }
 }
 
@@ -648,27 +669,31 @@ pub(crate) fn build_noise_sites<T>(
 /// model.
 ///
 /// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
-/// `NoiseProgram`, the program circuit's per-operation apply plans
-/// ([`CompiledCircuit`]) and every noise channel precompiled per
-/// application site (`NoiseSites`) are all shared by every trial, so a
-/// Monte Carlo run does zero plan building inside its trial loop. Trials
-/// already run one per core, so gate application inside a trial is
-/// deliberately sequential — nested fan-out would oversubscribe the
-/// machine.
+/// `NoiseProgram`, the program circuit's per-operation apply plans (the
+/// noisy replay), the ideal reference ([`CompiledCircuit`]s both) and
+/// every noise channel precompiled per application site (`NoiseSites`)
+/// are all shared by every trial, so a Monte Carlo run does zero plan
+/// building inside its trial loop. The reference is the
+/// [`PassLevel::Ideal`] compile of the circuit the job started from, not
+/// the lowered program: at nCX(7) it replays 7 operations where the
+/// Physical program has 79. Trials already run one per core, so gate
+/// application inside a trial is deliberately sequential — nested fan-out
+/// would oversubscribe the machine.
 pub struct TrajectorySimulator {
     program: Arc<NoiseProgram>,
-    compiled: Arc<CompiledCircuit>,
+    plans: Arc<CompiledCircuit>,
+    reference: Arc<CompiledCircuit>,
     channels: Arc<NoiseSites<CompiledChannel>>,
 }
 
 impl TrajectorySimulator {
     /// Builds the simulator on memoized shared artifacts: the noise
-    /// program, the compiled replay and the per-site channel plans are all
-    /// shared — repeated constructions over the same cached circuit entry
-    /// (a batch of jobs differing only in seed or trial count) build
-    /// nothing at all. The accounting follows the level the artifacts'
-    /// IR was compiled at; gate plans compile through `planner`'s plan
-    /// cache on first use.
+    /// program, the program's gate plans, the ideal reference and the
+    /// per-site channel plans are all shared — repeated constructions over
+    /// the same cached circuit entry (a batch of jobs differing only in
+    /// seed or trial count) build nothing at all. The accounting follows
+    /// the level the artifacts' IR was compiled at; gate plans compile
+    /// through `planner`'s plan cache on first use.
     ///
     /// # Errors
     ///
@@ -680,24 +705,67 @@ impl TrajectorySimulator {
     ) -> NoiseResult<Self> {
         Ok(TrajectorySimulator {
             program: Arc::clone(artifacts.program()),
-            compiled: artifacts.ideal(planner),
+            plans: artifacts.program_plans(planner),
+            reference: artifacts.ideal(planner),
             channels: artifacts.trajectory_sites(model)?,
         })
     }
 
+    /// Draws an input with `rng` and replays the ideal reference on it.
+    fn draw(
+        &self,
+        config: &TrajectoryConfig,
+        rng: &mut StdRng,
+    ) -> NoiseResult<(StateVector, StateVector)> {
+        let circuit = &self.program.circuit;
+        let input = config.input.draw(circuit.dim(), circuit.width(), rng)?;
+        let ideal = self.reference.run_sequential(input.clone());
+        Ok((input, ideal))
+    }
+
     /// Trial `i`: one RNG seeded with `seed + i` draws the input and then
     /// every noise branch; the fidelity compares the ideal and the noisy
-    /// replay of that input.
-    fn trial(&self, config: &TrajectoryConfig, i: usize, cancel: &CancelToken) -> NoiseResult<f64> {
-        let circuit = &self.program.circuit;
+    /// replay of that input. `fixed` is the run's one (input, ideal output)
+    /// pair for a deterministic input, whose draw consumes no randomness,
+    /// so the trial's RNG stream is the same either way.
+    fn trial(
+        &self,
+        config: &TrajectoryConfig,
+        fixed: Option<&(StateVector, StateVector)>,
+        i: usize,
+        cancel: &CancelToken,
+    ) -> NoiseResult<f64> {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
-        let initial = config
-            .input
-            .draw(circuit.dim(), circuit.width(), &mut rng)?;
-        let ideal = self.compiled.run_sequential(initial.clone());
-        let mut noisy = Trial::new(&self.compiled, initial, rng);
+        let drawn;
+        let (input, ideal) = match fixed {
+            Some((input, ideal)) => (input.clone(), ideal),
+            None => {
+                drawn = self.draw(config, &mut rng)?;
+                (drawn.0, &drawn.1)
+            }
+        };
+        let mut noisy = Trial::new(&self.plans, input, rng);
         self.program.replay(&self.channels, &mut noisy, cancel)?;
         Ok(ideal.fidelity(&noisy.state))
+    }
+
+    /// The precision loop over trials `0, 1, 2, …`, with a deterministic
+    /// input drawn and its reference replayed once, before the fan-out.
+    fn run_trials(
+        &self,
+        config: &TrajectoryConfig,
+        precision: &Precision,
+        cancel: &CancelToken,
+        trace: Option<&mut Vec<f64>>,
+    ) -> NoiseResult<FidelityEstimate> {
+        let fixed = if config.input.is_deterministic() {
+            Some(self.draw(config, &mut StdRng::seed_from_u64(config.seed))?)
+        } else {
+            None
+        };
+        run_to_precision(config.trials, precision, cancel, trace, |i| {
+            self.trial(config, fixed.as_ref(), i, cancel)
+        })
     }
 
     /// Runs with the requested [`Precision`]: [`Precision::FixedTrials`]
@@ -716,9 +784,7 @@ impl TrajectorySimulator {
         precision: &Precision,
         cancel: &CancelToken,
     ) -> NoiseResult<FidelityEstimate> {
-        run_to_precision(config.trials, precision, cancel, None, |i| {
-            self.trial(config, i, cancel)
-        })
+        self.run_trials(config, precision, cancel, None)
     }
 
     /// Like [`TrajectorySimulator::run_with_precision`], but also returns
@@ -737,17 +803,16 @@ impl TrajectorySimulator {
         cancel: &CancelToken,
     ) -> NoiseResult<(FidelityEstimate, Vec<f64>)> {
         let mut trace = Vec::new();
-        let estimate = run_to_precision(config.trials, precision, cancel, Some(&mut trace), |i| {
-            self.trial(config, i, cancel)
-        })?;
+        let estimate = self.run_trials(config, precision, cancel, Some(&mut trace))?;
         Ok((estimate, trace))
     }
 }
 
 /// A trajectory trial's noisy state: the state vector, the trial's RNG
-/// (every channel site draws its branch from it) and the shared gate plans.
+/// (every channel site draws its branch from it) and the program circuit's
+/// shared gate plans.
 struct Trial<'a> {
-    compiled: &'a CompiledCircuit,
+    plans: &'a CompiledCircuit,
     state: StateVector,
     rng: StdRng,
     /// Whether the current frame's idle group left the state at unit norm,
@@ -756,9 +821,9 @@ struct Trial<'a> {
 }
 
 impl<'a> Trial<'a> {
-    fn new(compiled: &'a CompiledCircuit, state: StateVector, rng: StdRng) -> Self {
+    fn new(plans: &'a CompiledCircuit, state: StateVector, rng: StdRng) -> Self {
         Trial {
-            compiled,
+            plans,
             state,
             rng,
             normalised: false,
@@ -770,7 +835,7 @@ impl NoisyState for Trial<'_> {
     type Site = CompiledChannel;
 
     fn unitary(&mut self, op: usize) {
-        self.compiled.plan(op).apply_sequential(&mut self.state);
+        self.plans.plan(op).apply_sequential(&mut self.state);
     }
 
     fn channel(&mut self, site: &CompiledChannel) {

@@ -11,9 +11,12 @@
 //!
 //! The set covers every combination of backend × pass level × input
 //! distribution × precision, all seven paper models, the optional leakage,
-//! over-rotation and crosstalk channels, and a routed spec with per-edge
-//! error rates. Two noise-free random-input cases pin the shared input draw
-//! on the noise-free path.
+//! over-rotation and crosstalk channels, a routed basis-input spec with
+//! per-edge error rates, and routed random-input specs on a ring, a grid and
+//! (for a d = 2 qubit baseline) a line. Those last ones were recorded while
+//! the ideal reference still replayed the routed program, so they pin the
+//! routed reference built from the source circuit. Two noise-free
+//! random-input cases pin the shared input draw on the noise-free path.
 
 use qudit_api::algos::qft;
 use qudit_api::{
@@ -21,6 +24,7 @@ use qudit_api::{
 };
 use qudit_circuit::Circuit;
 use qudit_noise::models;
+use qutrit_toffoli::baselines::qubit_no_ancilla;
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 
 const TOLERANCE: f64 = 1e-12;
@@ -137,6 +141,40 @@ fn cases() -> Vec<Case> {
             .trials(trials)
             .seed(2019)
             .topology(line.clone())
+            .build()
+            .unwrap();
+        cases.push(Case {
+            label,
+            spec,
+            expected,
+        });
+    }
+    // Routed random-input cases: the noise is charged on the routed program,
+    // and the ideal reference must carry the same placement and final
+    // mapping, on every topology shape, at both levels and on both backends.
+    let ring = || Topology::ring(4).unwrap();
+    let grid = || Topology::grid(2, 2).unwrap();
+    let line4 = || Topology::linear(4).unwrap();
+    let qubit_ncx3 = || qubit_no_ancilla(3, 2).unwrap();
+    for (label, circuit, topology, backend, level, model, trials, expected) in [
+        ("T/P/rand/fixed ncx3 SC+T1+GATES ring", ncx3(), ring(), T, P, models::sc_t1_gates(), 32, (0.9999999482318822, 2.107683370226584e-9, 32)),
+        ("D/P/rand/fixed ncx3 SC+T1+GATES ring", ncx3(), ring(), D, P, models::sc_t1_gates(), 4, (0.9904376392433434, 2.7708064618732548e-5, 4)),
+        ("T/N/rand/fixed ncx3 SC+T1 ring", ncx3(), ring(), T, N, models::sc_t1(), 32, (0.9999999973702448, 1.1490089820212881e-10, 32)),
+        ("D/N/rand/fixed ncx3 SC ring", ncx3(), ring(), D, N, models::sc(), 4, (0.9829163113598637, 0.00010872459419874113, 4)),
+        ("T/P/rand/fixed ncx3 SC+GATES grid", ncx3(), grid(), T, P, models::sc_gates(), 32, (0.96874769203517, 0.031246550999105928, 32)),
+        ("D/P/rand/fixed ncx3 SC+T1 grid", ncx3(), grid(), D, P, models::sc_t1(), 4, (0.9121850522348242, 0.00018877736184454372, 4)),
+        ("T/N/rand/fixed ncx3 SC+T1+GATES grid", ncx3(), grid(), T, N, models::sc_t1_gates(), 32, (0.9999999951507177, 2.0977962739191822e-10, 32)),
+        ("D/N/rand/fixed ncx3 SC+T1+GATES grid", ncx3(), grid(), D, N, models::sc_t1_gates(), 4, (0.9977060389169337, 1.4461572213143177e-5, 4)),
+        ("T/P/rand/fixed qubit ncx3 SC+T1+GATES line", qubit_ncx3(), line4(), T, P, models::sc_t1_gates(), 32, (0.9999998956463984, 5.001636116542474e-9, 32)),
+    ] {
+        let spec = JobSpec::builder(circuit)
+            .backend(backend)
+            .level(level)
+            .noise(model)
+            .input(RAND)
+            .trials(trials)
+            .seed(2019)
+            .topology(topology)
             .build()
             .unwrap();
         cases.push(Case {

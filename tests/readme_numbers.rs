@@ -3,7 +3,9 @@
 //! re-read it and fail when a quoted number differs from the record at the
 //! precision README prints it, so a re-recorded benchmark cannot leave
 //! README stale, and when an entry is not a full 30 s untraced run with no
-//! failed op, so a smoke run cannot be checked in as the record.
+//! failed op, so a smoke run cannot be checked in as the record. README's
+//! Figure 11 table is checked the same way against `tests/golden/fig11.txt`
+//! (7 controls) and `BENCH_fig11.json` (the paper-scale run).
 
 use serde::Value;
 use std::path::Path;
@@ -103,7 +105,7 @@ impl Quoted {
     fn assert_matches(&self, what: &str, recorded: f64) {
         assert!(
             (self.value - recorded).abs() <= self.tolerance * (1.0 + 1e-9),
-            "README quotes {what} as {} but BENCH_perfbench.json records {recorded}",
+            "README quotes {what} as {} but its record holds {recorded}",
             self.value
         );
     }
@@ -166,4 +168,76 @@ fn readme_fig11_throughput_and_latency_match_bench_perfbench_json() {
     );
     Quoted::after(&paragraph, "p50 ")
         .assert_matches("the fig11-sweep p50", recorded("fig11-sweep", "p50_ms"));
+}
+
+/// The cells of README's Figure 11 table row for `model` and `circuit`.
+fn figure11_cells(model: &str, circuit: &str) -> Vec<String> {
+    let readme = read("README.md");
+    let prefix = format!("| {model} | {circuit} |");
+    let row = readme
+        .lines()
+        .find(|line| line.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("README's Figure 11 table has no {prefix:?} row"));
+    row.trim_matches('|')
+        .split('|')
+        .map(|cell| cell.trim().to_string())
+        .collect()
+}
+
+/// Checks a `"F% ± 2σ%"` cell against a fidelity and its 2σ.
+fn assert_cell(cell: &str, what: &str, fidelity: f64, two_sigma: f64) {
+    Quoted::before(cell, "%").assert_matches(&format!("{what} fidelity"), 100.0 * fidelity);
+    Quoted::after(cell, "± ").assert_matches(&format!("{what} 2σ"), 100.0 * two_sigma);
+}
+
+#[test]
+fn readme_figure11_table_matches_the_golden_and_bench_fig11_json() {
+    // The 7-control column: `fig11`'s default run, as pinned byte for byte.
+    let golden = read("tests/golden/fig11.txt");
+    let bars: Vec<Vec<&str>> = golden
+        .lines()
+        .skip(2)
+        .map(|line| line.split_whitespace().collect())
+        .collect();
+    assert_eq!(bars.len(), 16);
+    for bar in &bars {
+        let (model, circuit) = (bar[0], bar[1]);
+        let percent = |cell: &str| cell.trim_end_matches('%').parse::<f64>().unwrap() / 100.0;
+        assert_cell(
+            &figure11_cells(model, circuit)[2],
+            &format!("the 7-control {model}/{circuit}"),
+            percent(bar[2]),
+            percent(bar[3]),
+        );
+    }
+
+    // The paper-scale column and its wall time.
+    let record = json("BENCH_fig11.json");
+    assert_eq!(number(&record, &["controls"]), 13.0);
+    assert!(number(&record, &["trials"]) >= 200.0);
+    assert_eq!(
+        record
+            .field("backend")
+            .and_then(Value::as_str)
+            .expect("a backend"),
+        "trajectory"
+    );
+    let rows = record
+        .field("rows")
+        .and_then(Value::as_array)
+        .expect("BENCH_fig11.json lists its bars");
+    assert_eq!(rows.len(), 16);
+    for row in rows {
+        let text = |key: &str| row.field(key).and_then(Value::as_str).expect(key);
+        let (model, circuit) = (text("model"), text("circuit"));
+        assert_cell(
+            &figure11_cells(model, circuit)[3],
+            &format!("the 13-control {model}/{circuit}"),
+            number(row, &["fidelity"]),
+            number(row, &["two_sigma"]),
+        );
+    }
+    let paragraph = readme_paragraph("At the paper's size");
+    Quoted::before(&paragraph, " s of wall time")
+        .assert_matches("the paper-scale wall time", number(&record, &["wall_s"]));
 }
