@@ -1,14 +1,16 @@
-//! Pre/post pass-pipeline resource report for the paper constructions.
+//! Pre/post compile resource report for the paper constructions.
 //!
-//! Runs the compiler's `Ideal` pass pipeline (cancellation, single-qudit
-//! fusion, depth repacking, kernel specialization) over each construction
-//! and prints what the transformation bought: kernel invocations (total
-//! ops), two-qudit gate count and depth before and after; then the same
-//! table for the `Physical` lowering (Di & Wei blocks in the IR — the
-//! goldens 85 two-qudit/depth 37 for nCX(15)) and for `PhysicalIdeal`
-//! (optimization *across* decomposition boundaries). The noise-preserving
-//! level is also run to demonstrate it is the identity transformation
-//! (noisy fidelity semantics cannot drift).
+//! Compiles each construction at the `Ideal` level (cancellation and
+//! same-support fusion, repeated until a round removes nothing) and prints
+//! what the transformation bought: kernel invocations (total ops),
+//! two-qudit gate count and depth before and after; then the same table
+//! for the `Physical` lowering (Di & Wei blocks in the IR — the goldens 85
+//! two-qudit/depth 37 for nCX(15)) and for `PhysicalIdeal` (optimization
+//! *across* decomposition boundaries). The noise-preserving level is also
+//! run to demonstrate it is the identity transformation (noisy fidelity
+//! semantics cannot drift). `--verbose` adds each compile's report with
+//! its per-step statistics. CI diffs the default stdout against
+//! `tests/golden/passes.txt`.
 //!
 //! Usage: `cargo run --release -p bench --bin passes [-- --verbose]`
 

@@ -47,9 +47,7 @@ pub use decompose::decompose_operation;
 pub use error::{CircuitError, CircuitResult};
 pub use gate::Gate;
 pub use operation::{Control, Operation};
-pub use passes::{DecompositionPass, KernelClass, PassLevel, ResourceReport, RoutedCosts};
-pub use routing::{RoutingPass, RoutingSummary};
-pub use schedule::{
-    circuit_depth, Frame, FrameDuration, FrameSchedule, Moment, MomentDuration, Schedule,
-};
+pub use passes::{KernelClass, PassLevel, ResourceReport, RoutedCosts};
+pub use routing::RoutingSummary;
+pub use schedule::{Frame, FrameDuration, FrameSchedule, Moment, Schedule};
 pub use topology::{Topology, TopologyKind};

@@ -1,45 +1,61 @@
-//! A pass-based circuit compiler: IR transformation pipeline feeding the
-//! simulation backends.
+//! The circuit compiler: one function that runs a [`PassLevel`]'s
+//! transformation steps over a circuit before the simulation backends
+//! compile it to kernels.
 //!
 //! The paper's headline claims are *resource* claims — depth and two-qudit
 //! gate count — and its simulations replay every gate of the raw op list as
-//! one kernel invocation. This module turns the circuit into a compiler IR
-//! and runs a configurable pipeline of transformation passes over it before
-//! anything is compiled to kernels:
+//! one kernel invocation. [`compile_with_topology`] (and [`compile`], its
+//! form without a topology) runs these steps, in this order:
 //!
-//! * [`CancellationPass`] removes adjacent inverse pairs (`U` then `U†` with
-//!   no intervening operation on the same qudits, e.g. an increment
-//!   immediately undone by a decrement) and outright identity operations;
-//! * [`FusionPass`] composes runs of adjacent same-support gates — identical
+//! | Level | Steps |
+//! |---|---|
+//! | [`PassLevel::NoisePreserving`] | route |
+//! | [`PassLevel::Physical`] | decompose, route |
+//! | [`PassLevel::PhysicalIdeal`] | decompose, route, then cancel and fuse until a round removes nothing |
+//! | [`PassLevel::Ideal`] | route, then cancel and fuse until a round removes nothing |
+//!
+//! Route runs only when a [`Topology`] is given.
+//!
+//! * **decompose** lowers every ≥3-qudit operation into its exact Di & Wei
+//!   two-qudit realisation (see [`crate::decompose`]) and records one frame
+//!   per logical moment;
+//! * **route** places logical qudits onto the topology's sites and inserts
+//!   qudit-SWAPs (see [`crate::routing`]);
+//! * **cancel** removes inverse pairs (`U` then `U†` with nothing between
+//!   them that fails to commute, e.g. an increment immediately undone by a
+//!   decrement) and outright identity operations;
+//! * **fuse** composes runs of adjacent same-support gates — identical
 //!   targets and control conditions, one or two targets — into one gate
 //!   (`H` then `X` becomes the single matrix `X·H`; a pair of controlled
 //!   two-qudit gates becomes one controlled product), and drops the run
-//!   entirely when the product is the identity;
-//! * [`RepackPass`] re-derives the as-early-as-possible [`Schedule`] after
-//!   removals, so the depth the analyzer reports is the depth of the
-//!   *transformed* circuit;
-//! * [`SpecializePass`] tags every operation with its [`KernelClass`]
-//!   (identity / permutation / diagonal / dense), the structure the
-//!   simulator's plan builder uses to pick the cheap kernel.
+//!   entirely when the product is the identity.
+//!
+//! Then, once, the compiler derives the as-early-as-possible [`Schedule`]
+//! of the result (so the depth it reports is the depth of the
+//! *transformed* circuit), tags every operation with its [`KernelClass`]
+//! (identity / permutation / diagonal / dense, the structure the
+//! simulator's plan builder uses to pick the cheap kernel), settles the
+//! frame partition and measures the resources.
 //!
 //! ## Pass levels and noise semantics
 //!
 //! Fusing or cancelling gates changes how many error channels a noisy
 //! simulation charges, so optimization must never silently leak into
-//! fidelity results. Two explicit [`PassLevel`]s pin the semantics:
+//! fidelity results. Only the two levels that keep every gate support
+//! noise:
 //!
-//! * [`PassLevel::NoisePreserving`] — only transformations that leave the
-//!   schedule *and* the operation list unchanged are allowed: fusion is
-//!   restricted to operations sharing a moment (a moment touches each qudit
-//!   at most once, so nothing ever fuses) and cancellation/repacking do not
-//!   run. The output circuit is guaranteed operation-for-operation identical
-//!   to the input, so noisy fidelities are bit-identical with and without
-//!   the pipeline. Both noise backends compile through this level.
-//! * [`PassLevel::Ideal`] — the full pipeline, valid for noise-free runs
-//!   only, where unitary equivalence is the only obligation.
+//! * [`PassLevel::Physical`] — the lowered accounting, frame by frame. Both
+//!   noise backends compile through this level by default.
+//! * [`PassLevel::NoisePreserving`] — the logical-granularity ablation.
+//!   Without a topology the output circuit is operation-for-operation
+//!   identical to the input, so noisy fidelities are bit-identical with
+//!   and without the compiler.
+//! * [`PassLevel::PhysicalIdeal`] and [`PassLevel::Ideal`] optimize, and
+//!   are valid for noise-free runs only, where unitary equivalence is the
+//!   only obligation.
 //!
 //! [`ResourceReport`] measures gate counts, two-qudit counts and depth
-//! before and after the pipeline; the bench binaries regenerating the
+//! before and after compilation; the bench binaries regenerating the
 //! paper's figures produce their count columns through it.
 
 use crate::circuit::Circuit;
@@ -47,7 +63,7 @@ use crate::cost::{analyze, CircuitCosts, CostWeights};
 use crate::decompose::decompose_operation;
 use crate::gate::Gate;
 use crate::operation::Operation;
-use crate::routing::{RoutingPass, RoutingSummary};
+use crate::routing::{route, RoutingSummary};
 use crate::schedule::{Frame, FrameDuration, FrameSchedule, Schedule};
 use crate::topology::Topology;
 use std::fmt;
@@ -97,17 +113,16 @@ impl KernelClass {
     }
 }
 
-/// How aggressively the pipeline may transform the circuit.
+/// How aggressively the compiler may transform the circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PassLevel {
-    /// Leave the operation list and schedule exactly as-is; only
-    /// within-moment fusion (a provable no-op under the moment invariant)
-    /// and specialization tagging run. Noisy fidelity results are
-    /// bit-identical with and without the pipeline. This is the level the
-    /// deprecated virtual-expansion noise shim compiles through.
+    /// Leave the operation list and schedule exactly as-is, apart from
+    /// routing when a topology is given; only kernel tagging runs. Noisy
+    /// fidelity results are bit-identical with and without the compiler.
+    /// This is the logical-granularity ablation of the noise backends.
     NoisePreserving,
     /// Physical lowering: every ≥3-qudit operation is expanded into its
-    /// Di & Wei two-qudit realisation ([`DecompositionPass`]), and a
+    /// Di & Wei two-qudit realisation (the decompose step), and a
     /// [`FrameSchedule`] records which lowered operations belong to each
     /// original logical moment together with the frame's *measured*
     /// two-qudit layer count. No structural optimization runs — the frame
@@ -118,14 +133,12 @@ pub enum PassLevel {
     /// backends compile through.
     Physical,
     /// Physical lowering followed by full optimization: cancellation (with
-    /// commutation-aware lookthrough), cross-moment fusion and depth
-    /// repacking run *across* decomposition boundaries. Valid for
-    /// noise-free runs only.
+    /// commutation-aware lookthrough) and fusion run *across*
+    /// decomposition boundaries. Valid for noise-free runs only.
     PhysicalIdeal,
-    /// Full optimization at logical granularity: cancellation, cross-moment
-    /// fusion and depth repacking, without lowering. Preserves the circuit
-    /// unitary but not the gate count or schedule, so it is valid for
-    /// noise-free runs only.
+    /// Full optimization at logical granularity: cancellation and fusion,
+    /// without lowering. Preserves the circuit unitary but not the gate
+    /// count or schedule, so it is valid for noise-free runs only.
     Ideal,
 }
 
@@ -163,111 +176,38 @@ impl PassLevel {
     }
 }
 
-/// The mutable compilation state a [`Pass`] transforms.
+/// What one step invocation did, for [`PipelineReport::passes`].
 ///
-/// Holds the current operation list (as a [`Circuit`]), the schedule when
-/// one is known to be valid for that list, and the per-operation kernel
-/// tags once [`SpecializePass`] has run. Mutating the operation list
-/// invalidates both derived artifacts; [`RepackPass`] / [`SpecializePass`]
-/// re-derive them.
-#[derive(Clone, Debug)]
-pub struct CircuitIr {
-    pub(crate) circuit: Circuit,
-    /// `None` after a transformation pass changed the op list ("stale").
-    pub(crate) schedule: Option<Schedule>,
-    /// Kernel tags per operation, in op order; `None` until specialization.
-    pub(crate) kernel_tags: Option<Vec<KernelClass>>,
-    /// The frame partition, once [`DecompositionPass`] has produced one.
-    /// Invalidated (like the schedule) when a pass changes the op list.
-    pub(crate) frames: Option<FrameSchedule>,
-    /// What the [`RoutingPass`] did, once it has run. Deliberately survives
-    /// [`CircuitIr::replace_ops`]: the placement permutations stay correct
-    /// under later unitary-preserving transformations, and the pass keys its
-    /// run-once behaviour on this being `Some`.
-    pub(crate) routing: Option<RoutingSummary>,
-}
-
-impl CircuitIr {
-    /// Builds the IR for a circuit, with its ASAP schedule attached.
-    pub fn new(circuit: &Circuit) -> Self {
-        CircuitIr {
-            circuit: circuit.clone(),
-            schedule: Some(Schedule::asap(circuit)),
-            kernel_tags: None,
-            frames: None,
-            routing: None,
-        }
-    }
-
-    /// The current operation list.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// The current schedule, recomputing it if a transformation left it
-    /// stale.
-    pub fn schedule(&mut self) -> &Schedule {
-        if self.schedule.is_none() {
-            self.schedule = Some(Schedule::asap(&self.circuit));
-        }
-        self.schedule.as_ref().expect("just ensured")
-    }
-
-    /// Replaces the operation list, invalidating the schedule, tags and
-    /// frame partition (but not the routing summary — see the field doc).
-    pub(crate) fn replace_ops(&mut self, ops: Vec<Operation>) {
-        self.circuit = Circuit::from_ops(self.circuit.dim(), self.circuit.width(), ops);
-        self.schedule = None;
-        self.kernel_tags = None;
-        self.frames = None;
-    }
-}
-
-/// What one pass invocation did, for the [`PassManager`]'s statistics.
-///
-/// The manager iterates its pipeline to a fixpoint, so the same pass can
+/// Cancel and fuse repeat until a round removes nothing, so they can
 /// appear in several rounds; `round` tells the invocations apart.
+/// Decompose and route run once, in round 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PassStats {
-    /// The pass name.
+    /// The step name.
     pub pass: &'static str,
-    /// Which fixpoint round (1-based) this invocation ran in.
+    /// Which round (1-based) this invocation ran in.
     pub round: usize,
-    /// Operation count entering the pass.
+    /// Operation count entering the step.
     pub ops_before: usize,
-    /// Operation count leaving the pass.
+    /// Operation count leaving the step.
     pub ops_after: usize,
-    /// Human-readable summary of the pass-specific effect (pairs fused,
-    /// pairs cancelled, kernel-class histogram, …).
+    /// Human-readable summary of the step-specific effect (pairs fused,
+    /// pairs cancelled, SWAPs inserted, …).
     pub detail: String,
-    /// Whether the pass replaced the operation list *without* changing its
-    /// length — routing that only relabels qudits onto sites does this.
-    /// [`PassStats::changed`] folds it in, so the fixpoint loop still runs
-    /// the follow-up round that re-derives the cleared frame partition.
-    pub rewrote: bool,
 }
 
 impl PassStats {
-    /// Whether the pass changed the operation list.
+    /// Whether the step changed the operation count.
     pub fn changed(&self) -> bool {
-        self.ops_before != self.ops_after || self.rewrote
+        self.ops_before != self.ops_after
     }
 }
 
-/// A circuit transformation pass.
-pub trait Pass {
-    /// The pass's stable name, used in statistics and reports.
-    fn name(&self) -> &'static str;
-
-    /// Transforms the IR in place and reports what happened.
-    fn run(&self, ir: &mut CircuitIr) -> PassStats;
-
-    /// Whether the pass only derives artifacts (schedule, tags) and never
-    /// changes the operation list. Analysis passes run once after the
-    /// transformation fixpoint instead of in every round.
-    fn is_analysis(&self) -> bool {
-        false
-    }
+/// What one transformation step produced: its new operation list, when it
+/// rewrites the circuit, and a one-line summary for [`PassStats::detail`].
+pub(crate) struct Step {
+    pub(crate) ops: Option<Vec<Operation>>,
+    pub(crate) detail: String,
 }
 
 // ---------------------------------------------------------------------------
@@ -282,91 +222,72 @@ pub trait Pass {
 /// touches none of its qudits, or is diagonal while the cancelling pair is
 /// diagonal too (diagonal operations commute regardless of how their
 /// qudits overlap — controls are basis projectors, so a controlled
-/// diagonal gate is diagonal as a whole). The wire-adjacent case of PR 3
-/// is the special case with no lookthrough; the diagonal lookthrough is
-/// what lets *lowered* circuits shrink, where a Di & Wei block ends in
-/// diagonal phase gates that would otherwise fence off the mirror block.
+/// diagonal gate is diagonal as a whole). The wire-adjacent case is the
+/// special case with no lookthrough; the diagonal lookthrough is what lets
+/// *lowered* circuits shrink, where a Di & Wei block ends in diagonal
+/// phase gates that would otherwise fence off the mirror block.
 ///
-/// A single pass catches the innermost pair of a nested `U V V† U†`
-/// structure; the [`PassManager`] iterates the pipeline to a fixpoint,
-/// unwrapping such nests completely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CancellationPass;
+/// One invocation catches the innermost pair of a nested `U V V† U†`
+/// structure; the compiler repeats cancel and fuse until a round removes
+/// nothing, unwrapping such nests completely.
+fn cancel(circuit: &Circuit) -> Step {
+    let mut out: Vec<Option<Operation>> = Vec::with_capacity(circuit.len());
+    let mut pairs = 0usize;
+    let mut identities = 0usize;
+    let mut lookthroughs = 0usize;
 
-impl Pass for CancellationPass {
-    fn name(&self) -> &'static str {
-        "cancel"
-    }
-
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops_before = ir.circuit.len();
-        let mut out: Vec<Option<Operation>> = Vec::with_capacity(ops_before);
-        let mut pairs = 0usize;
-        let mut identities = 0usize;
-        let mut lookthroughs = 0usize;
-
-        for op in ir.circuit.iter() {
-            if op.gate().matrix().is_identity(KERNEL_CLASS_TOL) {
-                identities += 1;
+    for op in circuit.iter() {
+        if op.gate().matrix().is_identity(KERNEL_CLASS_TOL) {
+            identities += 1;
+            continue;
+        }
+        let qudits = op.qudits();
+        let diagonal = op.gate().matrix().is_diagonal(KERNEL_CLASS_TOL);
+        // Walk backwards over the surviving operations. Disjoint ops
+        // commute trivially; overlapping diagonal ops commute with a
+        // diagonal `op`; the first overlapping op that is neither a
+        // match nor commutable fences the search off.
+        let mut cancelled = false;
+        let mut skipped_overlap = false;
+        for j in (0..out.len()).rev() {
+            let Some(prev) = out[j].as_ref() else {
+                continue;
+            };
+            let overlaps = prev.qudits().iter().any(|q| qudits.contains(q));
+            if !overlaps {
                 continue;
             }
-            let qudits = op.qudits();
-            let diagonal = op.gate().matrix().is_diagonal(KERNEL_CLASS_TOL);
-            // Walk backwards over the surviving operations. Disjoint ops
-            // commute trivially; overlapping diagonal ops commute with a
-            // diagonal `op`; the first overlapping op that is neither a
-            // match nor commutable fences the search off.
-            let mut cancelled = false;
-            let mut skipped_overlap = false;
-            for j in (0..out.len()).rev() {
-                let Some(prev) = out[j].as_ref() else {
-                    continue;
-                };
-                let overlaps = prev.qudits().iter().any(|q| qudits.contains(q));
-                if !overlaps {
-                    continue;
+            let matches = prev.controls() == op.controls()
+                && prev.targets() == op.targets()
+                && op
+                    .gate()
+                    .matrix()
+                    .is_inverse_of(prev.gate().matrix(), KERNEL_CLASS_TOL);
+            if matches {
+                out[j] = None;
+                pairs += 1;
+                if skipped_overlap {
+                    lookthroughs += 1;
                 }
-                let matches = prev.controls() == op.controls()
-                    && prev.targets() == op.targets()
-                    && op
-                        .gate()
-                        .matrix()
-                        .is_inverse_of(prev.gate().matrix(), KERNEL_CLASS_TOL);
-                if matches {
-                    out[j] = None;
-                    pairs += 1;
-                    if skipped_overlap {
-                        lookthroughs += 1;
-                    }
-                    cancelled = true;
-                    break;
-                }
-                if diagonal && prev.gate().matrix().is_diagonal(KERNEL_CLASS_TOL) {
-                    skipped_overlap = true;
-                    continue;
-                }
+                cancelled = true;
                 break;
             }
-            if !cancelled {
-                out.push(Some(op.clone()));
+            if diagonal && prev.gate().matrix().is_diagonal(KERNEL_CLASS_TOL) {
+                skipped_overlap = true;
+                continue;
             }
+            break;
         }
+        if !cancelled {
+            out.push(Some(op.clone()));
+        }
+    }
 
-        let ops: Vec<Operation> = out.into_iter().flatten().collect();
-        let ops_after = ops.len();
-        if ops_after != ops_before {
-            ir.replace_ops(ops);
-        }
-        PassStats {
-            pass: self.name(),
-            round: 0,
-            ops_before,
-            ops_after,
-            detail: format!(
-                "{pairs} inverse pair(s) ({lookthroughs} via commutation), {identities} identity op(s)"
-            ),
-            rewrote: false,
-        }
+    Step {
+        ops: (pairs + identities > 0).then(|| out.into_iter().flatten().collect()),
+        detail: format!(
+            "{pairs} inverse pair(s) ({lookthroughs} via commutation), {identities} identity op(s)"
+        ),
     }
 }
 
@@ -375,105 +296,68 @@ impl Pass for CancellationPass {
 // ---------------------------------------------------------------------------
 
 /// Lowers every ≥3-qudit operation into its exact Di & Wei two-qudit
-/// realisation (see [`crate::decompose`]) and records the [`FrameSchedule`]:
-/// one frame per pre-lowering logical moment, holding the lowered operation
-/// indices and the frame's *measured* two-qudit layer count.
+/// realisation (see [`crate::decompose`]) and records the [`FrameSchedule`]
+/// of the lowered op list: one frame per logical moment of `circuit`,
+/// holding the lowered operation indices and the frame's *measured*
+/// two-qudit layer count.
 ///
 /// The frame partition is what downstream noise accounting consumes: gate
 /// errors attach to the lowered gates themselves (one error per gate, on
 /// the gate's own qudits — no arity dispatch), and idle durations are the
 /// measured layer counts. Operations the decomposition cannot lower
 /// (multi-target ops of arity ≥ 3) are passed through and counted in the
-/// pass statistics; consumers that require a fully lowered circuit reject
+/// step's detail; consumers that require a fully lowered circuit reject
 /// them at program-construction time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DecompositionPass;
-
-impl Pass for DecompositionPass {
-    fn name(&self) -> &'static str {
-        "decompose"
-    }
-
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops_before = ir.circuit.len();
-        let has_high_arity = ir.circuit.iter().any(|op| op.arity() >= 3);
-        if !has_high_arity && ir.frames.is_some() {
-            // Fixpoint round after the lowering: the frames recorded in the
-            // first round are still valid — leave them alone.
-            return PassStats {
-                pass: self.name(),
-                round: 0,
-                ops_before,
-                ops_after: ops_before,
-                detail: "already lowered".to_string(),
-                rewrote: false,
-            };
-        }
-
-        let dim = ir.circuit.dim();
-        let width = ir.circuit.width();
-        let schedule = ir.schedule().clone();
-        let mut new_ops: Vec<Operation> = Vec::with_capacity(ops_before);
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(ops_before);
-        let mut lowered = 0usize;
-        let mut unsupported = 0usize;
-        for op in ir.circuit.iter() {
-            let start = new_ops.len();
-            match decompose_operation(op) {
-                Ok(seq) => {
-                    if seq.len() > 1 {
-                        lowered += 1;
-                    }
-                    new_ops.extend(seq);
+fn decompose(circuit: &Circuit) -> (Step, FrameSchedule) {
+    let mut ops: Vec<Operation> = Vec::with_capacity(circuit.len());
+    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(circuit.len());
+    let mut lowered = 0usize;
+    let mut unsupported = 0usize;
+    for op in circuit.iter() {
+        let start = ops.len();
+        match decompose_operation(op) {
+            Ok(seq) => {
+                if seq.len() > 1 {
+                    lowered += 1;
                 }
-                Err(_) => {
-                    unsupported += 1;
-                    new_ops.push(op.clone());
-                }
+                ops.extend(seq);
             }
-            ranges.push((start, new_ops.len()));
+            Err(_) => {
+                unsupported += 1;
+                ops.push(op.clone());
+            }
         }
-
-        let frames: Vec<Frame> = schedule
-            .iter()
-            .map(|(_, op_indices)| {
-                let mut frame_ops: Vec<usize> = Vec::new();
-                for &i in op_indices {
-                    frame_ops.extend(ranges[i].0..ranges[i].1);
-                }
-                frame_ops.sort_unstable();
-                let duration = measure_frame_duration(dim, width, &new_ops, &frame_ops);
-                Frame::new(frame_ops, duration)
-            })
-            .collect();
-
-        let ops_after = new_ops.len();
-        if ops_after != ops_before {
-            ir.replace_ops(new_ops);
-        }
-        ir.frames = Some(FrameSchedule::new(frames));
-        PassStats {
-            pass: self.name(),
-            round: 0,
-            ops_before,
-            ops_after,
-            detail: format!("{lowered} op(s) lowered, {unsupported} unsupported"),
-            rewrote: false,
-        }
+        ranges.push(start..ops.len());
     }
+
+    let frames: Vec<Frame> = Schedule::asap(circuit)
+        .iter()
+        .map(|(_, op_indices)| {
+            let mut frame_ops: Vec<usize> =
+                op_indices.iter().flat_map(|&i| ranges[i].clone()).collect();
+            frame_ops.sort_unstable();
+            let duration = measure_frame_duration(circuit, &ops, &frame_ops);
+            Frame::new(frame_ops, duration)
+        })
+        .collect();
+
+    let step = Step {
+        ops: (lowered > 0).then_some(ops),
+        detail: format!("{lowered} op(s) lowered, {unsupported} unsupported"),
+    };
+    (step, FrameSchedule::new(frames))
 }
 
 /// Measures one frame's duration: the number of two-qudit layers its
 /// operations occupy under ASAP scheduling (single-qudit-only layers are
 /// absorbed — the paper's "the single-qudit gates interleave" accounting).
-pub(crate) fn measure_frame_duration(
-    dim: usize,
-    width: usize,
+fn measure_frame_duration(
+    circuit: &Circuit,
     ops: &[Operation],
     indices: &[usize],
 ) -> FrameDuration {
     let sub: Vec<Operation> = indices.iter().map(|&i| ops[i].clone()).collect();
-    let sub_circuit = Circuit::from_ops(dim, width, sub);
+    let sub_circuit = Circuit::from_ops(circuit.dim(), circuit.width(), sub);
     let layers = Schedule::asap(&sub_circuit)
         .moments()
         .iter()
@@ -490,6 +374,9 @@ pub(crate) fn measure_frame_duration(
 // Fusion
 // ---------------------------------------------------------------------------
 
+/// Longest fused-gate display name before collapsing to `"fused"`.
+const MAX_FUSED_NAME: usize = 24;
+
 /// Fuses runs of adjacent same-support gates into one composed gate,
 /// dropping the run entirely when the product is the identity (`H` then
 /// `H`, or a gate followed by its inverse).
@@ -502,130 +389,69 @@ pub(crate) fn measure_frame_duration(
 /// applied once per trial instead of k times, which pays off thousands of
 /// times under Monte Carlo replay. Fusion covers one- and two-target gates
 /// (`d²×d²` products at most); wider gates pass through untouched.
-///
-/// With `across_moments = false` the pass only fuses gates that share a
-/// schedule moment. A moment touches every qudit at most once, so nothing
-/// ever fuses and the schedule is provably preserved — this is the
-/// [`PassLevel::NoisePreserving`] configuration, kept as a real pass so the
-/// invariant is enforced by construction rather than by convention.
-#[derive(Clone, Copy, Debug)]
-pub struct FusionPass {
-    /// Whether gates from different schedule moments may fuse.
-    pub across_moments: bool,
-}
+fn fuse(circuit: &Circuit) -> Step {
+    let dim = circuit.dim();
+    let mut out: Vec<Option<Operation>> = Vec::with_capacity(circuit.len());
+    let mut last_touch: Vec<Option<usize>> = vec![None; circuit.width()];
+    let mut fused = 0usize;
+    let mut dropped = 0usize;
 
-/// Longest fused-gate display name before collapsing to `"fused"`.
-const MAX_FUSED_NAME: usize = 24;
+    for op in circuit.iter() {
+        // Candidate ops: one or two targets (composed matrices stay at
+        // most d²×d²). Every wire — targets and controls alike — must
+        // have been last touched by the same held slot, and that slot's
+        // op must have the identical support (targets in the same
+        // order, identical control conditions), so the pair composes in
+        // the same local basis.
+        let wires = op.qudits();
+        let prev_slot = (op.targets().len() <= 2)
+            .then(|| {
+                let first = last_touch[wires[0]]?;
+                wires[1..]
+                    .iter()
+                    .all(|&w| last_touch[w] == Some(first))
+                    .then_some(first)
+            })
+            .flatten()
+            .filter(|&j| {
+                out[j].as_ref().is_some_and(|prev| {
+                    prev.targets() == op.targets() && prev.controls() == op.controls()
+                })
+            });
 
-impl Pass for FusionPass {
-    fn name(&self) -> &'static str {
-        if self.across_moments {
-            "fuse"
-        } else {
-            "fuse(within-moment)"
+        if let Some(j) = prev_slot {
+            let prev = out[j].as_ref().expect("filtered above");
+            // `prev` runs first, so the composed matrix is op · prev.
+            let composed = op.gate().matrix() * prev.gate().matrix();
+            if composed.is_identity(KERNEL_CLASS_TOL) {
+                out[j] = None;
+                for &w in &wires {
+                    last_touch[w] = None;
+                }
+                dropped += 1;
+            } else {
+                let name = fused_name(prev.gate(), op.gate());
+                let gate = Gate::new(name, dim, op.targets().len(), composed)
+                    .expect("product of same-shape matrices keeps the gate's shape");
+                out[j] = Some(
+                    Operation::new(gate, op.controls().to_vec(), op.targets().to_vec())
+                        .expect("support validated when the original ops were built"),
+                );
+                fused += 1;
+            }
+            continue;
+        }
+
+        out.push(Some(op.clone()));
+        let idx = out.len() - 1;
+        for q in wires {
+            last_touch[q] = Some(idx);
         }
     }
 
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops_before = ir.circuit.len();
-        let dim = ir.circuit.dim();
-        let width = ir.circuit.width();
-        // Moment index per op, for the within-moment restriction.
-        let moment_of: Vec<usize> = if self.across_moments {
-            Vec::new()
-        } else {
-            let schedule = ir.schedule();
-            let mut m = vec![0usize; ops_before];
-            for (moment_idx, op_indices) in schedule.iter() {
-                for &i in op_indices {
-                    m[i] = moment_idx;
-                }
-            }
-            m
-        };
-
-        let mut out: Vec<Option<Operation>> = Vec::with_capacity(ops_before);
-        // Moment of the op currently held in each `out` slot (singles only).
-        let mut out_moment: Vec<usize> = Vec::with_capacity(ops_before);
-        let mut last_touch: Vec<Option<usize>> = vec![None; width];
-        let mut fused = 0usize;
-        let mut dropped = 0usize;
-
-        for (op_idx, op) in ir.circuit.iter().enumerate() {
-            let moment = if self.across_moments {
-                0
-            } else {
-                moment_of[op_idx]
-            };
-            // Candidate ops: one or two targets (composed matrices stay at
-            // most d²×d²). Every wire — targets and controls alike — must
-            // have been last touched by the same held slot, and that slot's
-            // op must have the identical support (targets in the same
-            // order, identical control conditions), so the pair composes in
-            // the same local basis.
-            let wires = op.qudits();
-            let prev_slot = (op.targets().len() <= 2)
-                .then(|| {
-                    let first = last_touch[wires[0]]?;
-                    wires[1..]
-                        .iter()
-                        .all(|&w| last_touch[w] == Some(first))
-                        .then_some(first)
-                })
-                .flatten()
-                .filter(|&j| {
-                    out[j].as_ref().is_some_and(|prev| {
-                        prev.targets() == op.targets()
-                            && prev.controls() == op.controls()
-                            && (self.across_moments || out_moment[j] == moment)
-                    })
-                });
-
-            if let Some(j) = prev_slot {
-                let prev = out[j].as_ref().expect("filtered above");
-                // `prev` runs first, so the composed matrix is op · prev.
-                let composed = op.gate().matrix() * prev.gate().matrix();
-                if composed.is_identity(KERNEL_CLASS_TOL) {
-                    out[j] = None;
-                    for &w in &wires {
-                        last_touch[w] = None;
-                    }
-                    dropped += 1;
-                } else {
-                    let name = fused_name(prev.gate(), op.gate());
-                    let gate = Gate::new(name, dim, op.targets().len(), composed)
-                        .expect("product of same-shape matrices keeps the gate's shape");
-                    out[j] = Some(
-                        Operation::new(gate, op.controls().to_vec(), op.targets().to_vec())
-                            .expect("support validated when the original ops were built"),
-                    );
-                    out_moment[j] = moment;
-                    fused += 1;
-                }
-                continue;
-            }
-
-            out.push(Some(op.clone()));
-            out_moment.push(moment);
-            let idx = out.len() - 1;
-            for q in op.qudits() {
-                last_touch[q] = Some(idx);
-            }
-        }
-
-        let ops: Vec<Operation> = out.into_iter().flatten().collect();
-        let ops_after = ops.len();
-        if ops_after != ops_before {
-            ir.replace_ops(ops);
-        }
-        PassStats {
-            pass: self.name(),
-            round: 0,
-            ops_before,
-            ops_after,
-            detail: format!("{fused} pair(s) fused, {dropped} identity product(s) dropped"),
-            rewrote: false,
-        }
+    Step {
+        ops: (fused + dropped > 0).then(|| out.into_iter().flatten().collect()),
+        detail: format!("{fused} pair(s) fused, {dropped} identity product(s) dropped"),
     }
 }
 
@@ -636,68 +462,6 @@ fn fused_name(first: &Gate, second: &Gate) -> String {
         "fused".to_string()
     } else {
         name
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Repacking and specialization
-// ---------------------------------------------------------------------------
-
-/// Re-derives the ASAP schedule of the (possibly shrunken) operation list,
-/// so downstream consumers see the post-removal depth.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RepackPass;
-
-impl Pass for RepackPass {
-    fn name(&self) -> &'static str {
-        "repack"
-    }
-
-    fn is_analysis(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops = ir.circuit.len();
-        let depth = ir.schedule().depth();
-        PassStats {
-            pass: self.name(),
-            round: 0,
-            ops_before: ops,
-            ops_after: ops,
-            detail: format!("ASAP depth {depth}"),
-            rewrote: false,
-        }
-    }
-}
-
-/// Tags every operation with its [`KernelClass`], the structure the
-/// simulator's plan builder keys its kernel selection on.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpecializePass;
-
-impl Pass for SpecializePass {
-    fn name(&self) -> &'static str {
-        "specialize"
-    }
-
-    fn is_analysis(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops = ir.circuit.len();
-        let tags: Vec<KernelClass> = ir.circuit.iter().map(KernelClass::of_operation).collect();
-        let counts = KernelCounts::from_tags(&tags);
-        ir.kernel_tags = Some(tags);
-        PassStats {
-            pass: self.name(),
-            round: 0,
-            ops_before: ops,
-            ops_after: ops,
-            detail: counts.to_string(),
-            rewrote: false,
-        }
     }
 }
 
@@ -745,7 +509,7 @@ impl fmt::Display for KernelCounts {
 }
 
 /// The routed-circuit count columns, present when compilation ran under a
-/// connectivity [`Topology`] (see [`RoutingPass`]).
+/// connectivity [`Topology`] (see [`crate::routing`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoutedCosts {
     /// Qudit-SWAP operations the router inserted to make every two-qudit
@@ -804,7 +568,7 @@ impl ResourceReport {
     }
 
     /// Measures a circuit with the physical column taken from the *actual*
-    /// lowered circuit: the pipeline runs [`PassLevel::Physical`] and the
+    /// lowered circuit: it compiles at [`PassLevel::Physical`] and the
     /// two-qudit count, single-qudit count and physical depth are counted
     /// on the Di & Wei-expanded operation list and its frame schedule,
     /// rather than inferred from per-arity weights. The logical column and
@@ -824,8 +588,8 @@ impl ResourceReport {
         }
     }
 
-    /// Builds the report from already-computed kernel tags (the pipeline
-    /// reuses the specialization pass's tags rather than reclassifying).
+    /// Builds the report from already-computed kernel tags (the compiler
+    /// reuses its own tags rather than reclassifying).
     fn from_parts(circuit: &Circuit, tags: &[KernelClass]) -> Self {
         ResourceReport {
             logical: analyze(circuit, CostWeights::logical()),
@@ -880,17 +644,17 @@ impl fmt::Display for ResourceReport {
     }
 }
 
-/// Everything the pipeline did to one circuit: resources before and after,
-/// and per-pass statistics in execution order.
+/// Everything the compiler did to one circuit: resources before and after,
+/// and per-step statistics in execution order.
 #[derive(Clone, Debug)]
 pub struct PipelineReport {
-    /// The level the pipeline ran at.
+    /// The level the compiler ran at.
     pub level: PassLevel,
     /// Resources of the input circuit.
     pub pre: ResourceReport,
     /// Resources of the transformed circuit.
     pub post: ResourceReport,
-    /// Statistics of every pass invocation, in order.
+    /// Statistics of every step invocation, in order.
     pub passes: Vec<PassStats>,
 }
 
@@ -900,7 +664,7 @@ impl fmt::Display for PipelineReport {
         writeln!(f, "  pre:  {}", self.pre)?;
         writeln!(f, "  post: {}", self.post)?;
         // Show every invocation that changed the circuit, plus the final
-        // (informational) invocation of each pass.
+        // (informational) invocation of each step.
         for (i, stats) in self.passes.iter().enumerate() {
             let is_last_of_pass = self.passes[i + 1..].iter().all(|s| s.pass != stats.pass);
             if !stats.changed() && !is_last_of_pass {
@@ -916,188 +680,9 @@ impl fmt::Display for PipelineReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pass manager
-// ---------------------------------------------------------------------------
-
-/// Runs an ordered list of passes over a circuit, iterating to a fixpoint,
-/// and collects per-pass statistics.
-pub struct PassManager {
-    level: PassLevel,
-    passes: Vec<Box<dyn Pass>>,
-    topology: Option<Topology>,
-}
-
-impl PassManager {
-    /// The standard pipeline for a level:
-    ///
-    /// * `NoisePreserving` — within-moment fusion + specialization (no
-    ///   structural change possible by construction);
-    /// * `Physical` — Di & Wei decomposition + within-moment fusion +
-    ///   repacking + specialization (structure-preserving after lowering,
-    ///   so the recorded frame partition stays valid);
-    /// * `PhysicalIdeal` — decomposition, then full optimization across
-    ///   the decomposition boundaries;
-    /// * `Ideal` — cancellation, cross-moment fusion, repacking,
-    ///   specialization.
-    pub fn standard(level: PassLevel) -> Self {
-        PassManager::standard_with_topology(level, None)
-    }
-
-    /// The standard pipeline for a level, optionally constrained to a
-    /// device [`Topology`]. With a topology, a [`RoutingPass`] joins the
-    /// pipeline: *after* lowering on the `Physical` levels (so the
-    /// interaction graph and SWAP insertion see the two-qudit gates that
-    /// actually execute — triangle-free topologies cannot host a ≥3-qudit
-    /// clique), and first on the logical-granularity levels. `None`
-    /// topology is the implicit all-to-all device and yields exactly
-    /// [`PassManager::standard`].
-    pub fn standard_with_topology(level: PassLevel, topology: Option<Topology>) -> Self {
-        let route = |passes: &mut Vec<Box<dyn Pass>>| {
-            if let Some(t) = topology.clone() {
-                passes.push(Box::new(RoutingPass::new(t)));
-            }
-        };
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-        match level {
-            PassLevel::NoisePreserving => {
-                route(&mut passes);
-                passes.push(Box::new(FusionPass {
-                    across_moments: false,
-                }));
-                passes.push(Box::new(SpecializePass));
-            }
-            PassLevel::Physical => {
-                passes.push(Box::new(DecompositionPass));
-                route(&mut passes);
-                passes.push(Box::new(FusionPass {
-                    across_moments: false,
-                }));
-                passes.push(Box::new(RepackPass));
-                passes.push(Box::new(SpecializePass));
-            }
-            PassLevel::PhysicalIdeal => {
-                passes.push(Box::new(DecompositionPass));
-                route(&mut passes);
-                passes.push(Box::new(CancellationPass));
-                passes.push(Box::new(FusionPass {
-                    across_moments: true,
-                }));
-                passes.push(Box::new(RepackPass));
-                passes.push(Box::new(SpecializePass));
-            }
-            PassLevel::Ideal => {
-                route(&mut passes);
-                passes.push(Box::new(CancellationPass));
-                passes.push(Box::new(FusionPass {
-                    across_moments: true,
-                }));
-                passes.push(Box::new(RepackPass));
-                passes.push(Box::new(SpecializePass));
-            }
-        }
-        PassManager {
-            level,
-            passes,
-            topology,
-        }
-    }
-
-    /// A manager with no passes, for building custom pipelines with
-    /// [`PassManager::push`].
-    pub fn empty(level: PassLevel) -> Self {
-        PassManager {
-            level,
-            passes: Vec::new(),
-            topology: None,
-        }
-    }
-
-    /// Appends a pass to the pipeline.
-    pub fn push(&mut self, pass: Box<dyn Pass>) -> &mut Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// The level this manager runs at.
-    pub fn level(&self) -> PassLevel {
-        self.level
-    }
-
-    /// Runs the pipeline over `circuit` until no pass changes the operation
-    /// list any more (cancellation exposes new fusion opportunities and vice
-    /// versa — nested `U V V† U†` structures unwrap one layer per round).
-    pub fn compile(&self, circuit: &Circuit) -> CompiledIr {
-        let pre = ResourceReport::measure(circuit);
-        let mut ir = CircuitIr::new(circuit);
-        let mut all_stats: Vec<PassStats> = Vec::new();
-        // Transformation passes iterate to a fixpoint (each round either
-        // strictly shrinks the op list or is the last, so this terminates
-        // after at most `len/2 + 1` rounds); analysis passes — which never
-        // change the op list — run once afterwards.
-        let mut round = 0usize;
-        loop {
-            round += 1;
-            let mut changed = false;
-            for pass in self.passes.iter().filter(|p| !p.is_analysis()) {
-                let mut stats = pass.run(&mut ir);
-                stats.round = round;
-                changed |= stats.changed();
-                all_stats.push(stats);
-            }
-            if !changed {
-                break;
-            }
-        }
-        for pass in self.passes.iter().filter(|p| p.is_analysis()) {
-            let mut stats = pass.run(&mut ir);
-            stats.round = round;
-            all_stats.push(stats);
-        }
-        ir.schedule(); // ensure the final schedule is materialised
-        let kernel_tags = ir
-            .kernel_tags
-            .take()
-            .unwrap_or_else(|| ir.circuit.iter().map(KernelClass::of_operation).collect());
-        let frames = ir.frames.take();
-        let routing = ir.routing.take();
-        // The post report reuses the tags the pipeline just computed
-        // instead of reclassifying every matrix. When a frame partition
-        // exists, the physical depth is the measured frame depth (the raw
-        // ASAP depth of a lowered circuit both understates it — blocks can
-        // stagger — and overstates it — padding singles spill a layer).
-        let mut post = ResourceReport::from_parts(&ir.circuit, &kernel_tags);
-        if let Some(frames) = &frames {
-            post.physical.physical_depth = frames.physical_depth();
-        }
-        if let Some(summary) = &routing {
-            post.routed = Some(RoutedCosts {
-                inserted_swaps: summary.inserted_swaps,
-                routed_two_qudit_gates: post.physical.two_qudit_gates,
-                routed_depth: post.physical.physical_depth,
-            });
-        }
-        CompiledIr {
-            source: circuit.clone(),
-            schedule: ir.schedule.take().expect("materialised above"),
-            circuit: ir.circuit,
-            kernel_tags,
-            frames,
-            routing,
-            topology: self.topology.clone(),
-            report: PipelineReport {
-                level: self.level,
-                pre,
-                post,
-                passes: all_stats,
-            },
-        }
-    }
-}
-
-/// The pipeline's output: the transformed circuit, its schedule, the
+/// The compiler's output: the transformed circuit, its schedule, the
 /// per-operation kernel tags and the full [`PipelineReport`], plus the
-/// source circuit the pipeline started from.
+/// source circuit the compiler started from.
 ///
 /// This is what the simulation layer compiles: `CompiledCircuit` /
 /// `CompiledDensityCircuit` in `qudit-sim` build their per-operation plans
@@ -1131,10 +716,12 @@ impl CompiledIr {
         &self.schedule
     }
 
-    /// The frame partition, when the pipeline contained a
-    /// [`DecompositionPass`] (the `Physical` levels). Frames reference
-    /// operations of [`CompiledIr::circuit`] and carry measured durations —
-    /// the noise backends replay and account by frame.
+    /// The frame partition, at the `Physical` levels: the logical moments
+    /// the lowering recorded, or every ASAP moment of the final circuit
+    /// when a later step rewrites the op list or an op could not be lowered
+    /// (the rule is written out in [`compile_with_topology`]). Frames
+    /// reference operations of [`CompiledIr::circuit`] and carry their
+    /// durations — the noise backends replay and account by frame.
     pub fn frames(&self) -> Option<&FrameSchedule> {
         self.frames.as_ref()
     }
@@ -1144,7 +731,7 @@ impl CompiledIr {
         &self.kernel_tags
     }
 
-    /// The connectivity [`Topology`] the pipeline compiled under, when one
+    /// The connectivity [`Topology`] the compiler ran under, when one
     /// was given — the noise backends consult it for schedule-adjacency
     /// (crosstalk pairing) and per-edge error weights. `None` means the
     /// implicit all-to-all device.
@@ -1152,7 +739,7 @@ impl CompiledIr {
         self.topology.as_ref()
     }
 
-    /// What the router did, when the pipeline ran under a connectivity
+    /// What the router did, when compilation ran under a connectivity
     /// [`Topology`]: initial placement, final mapping and SWAP counts.
     /// Operations of [`CompiledIr::circuit`] then act on *sites*; undoing
     /// the recorded permutations recovers the logical-register semantics.
@@ -1160,13 +747,13 @@ impl CompiledIr {
         self.routing.as_ref()
     }
 
-    /// The pipeline report (pre/post resources, per-pass statistics).
+    /// The compile report (pre/post resources, per-step statistics).
     pub fn report(&self) -> &PipelineReport {
         &self.report
     }
 
     /// A circuit with the same unitary as [`CompiledIr::circuit`], built
-    /// from the source circuit rather than the pipeline's output, so it
+    /// from the source circuit rather than the compiler's output, so it
     /// holds none of the lowering. Without routing it is the source
     /// itself. A routed IR's circuit acts on sites, so its reference is
     /// the source relabelled through the routing placement, followed by the
@@ -1194,14 +781,10 @@ impl CompiledIr {
         }
         reference
     }
-
-    /// Decomposes into the owned circuit, schedule and report.
-    pub fn into_parts(self) -> (Circuit, Schedule, PipelineReport) {
-        (self.circuit, self.schedule, self.report)
-    }
 }
 
-/// Runs the standard pipeline for `level` over a circuit.
+/// Compiles a circuit at `level` with no topology: [`compile_with_topology`]
+/// with `None`.
 ///
 /// This is the compile path the simulation backends use. A job compiles at
 /// its own level. The noise backends charge their errors on a
@@ -1209,13 +792,21 @@ impl CompiledIr {
 /// replay their noise-free reference from the [`PassLevel::Ideal`] compile
 /// of its [`CompiledIr::reference_circuit`].
 pub fn compile(circuit: &Circuit, level: PassLevel) -> CompiledIr {
-    PassManager::standard(level).compile(circuit)
+    compile_with_topology(circuit, level, None)
 }
 
-/// Runs the standard pipeline for `level` under an optional connectivity
-/// [`Topology`]. `None` is the implicit all-to-all device and is exactly
-/// [`compile`]. The topology's site count must equal the circuit width
-/// (the job layer validates this before compiling).
+/// Compiles a circuit at `level`, optionally under a connectivity
+/// [`Topology`]. This is the one place that decides which steps run at
+/// each level and in what order (the table in the module docs); the
+/// schedule, kernel tags, frames and resource reports are derived once, at
+/// the end.
+///
+/// With a topology, routing runs *after* lowering on the `Physical` levels
+/// (so the interaction graph and SWAP insertion see the two-qudit gates
+/// that actually execute — triangle-free topologies cannot host a ≥3-qudit
+/// clique), and first on the logical levels. `None` is the implicit
+/// all-to-all device. The topology's site count must equal the circuit
+/// width (the job layer validates this before compiling).
 ///
 /// # Panics
 ///
@@ -1233,7 +824,103 @@ pub fn compile_with_topology(
             "topology site count must match circuit width"
         );
     }
-    PassManager::standard_with_topology(level, topology.cloned()).compile(circuit)
+    let pre = ResourceReport::measure(circuit);
+    let mut current = circuit.clone();
+    let mut passes: Vec<PassStats> = Vec::new();
+    let mut run = |current: &mut Circuit, pass: &'static str, round: usize, step: Step| {
+        let ops_before = current.len();
+        let replaced = step.ops.is_some();
+        if let Some(ops) = step.ops {
+            *current = Circuit::from_ops(current.dim(), current.width(), ops);
+        }
+        passes.push(PassStats {
+            pass,
+            round,
+            ops_before,
+            ops_after: current.len(),
+            detail: step.detail,
+        });
+        replaced
+    };
+
+    let mut lowered_frames = None;
+    if matches!(level, PassLevel::Physical | PassLevel::PhysicalIdeal) {
+        let (step, frames) = decompose(&current);
+        run(&mut current, "decompose", 1, step);
+        lowered_frames = Some(frames);
+    }
+    // Whether a step after the lowering replaced the op list.
+    let mut rewritten = false;
+    let mut routing = None;
+    if let Some(topology) = topology {
+        let (step, summary) = route(&current, topology);
+        rewritten |= run(&mut current, "route", 1, step);
+        routing = Some(summary);
+    }
+    if matches!(level, PassLevel::PhysicalIdeal | PassLevel::Ideal) {
+        // Cancellation exposes new fusion opportunities and vice versa:
+        // nested `U V V† U†` structures unwrap one layer per round. Every
+        // round but the last shrinks the op list, so this terminates.
+        for round in 1.. {
+            let step = cancel(&current);
+            let cancelled = run(&mut current, "cancel", round, step);
+            let step = fuse(&current);
+            let fused = run(&mut current, "fuse", round, step);
+            if !(cancelled || fused) {
+                break;
+            }
+            rewritten = true;
+        }
+    }
+
+    let schedule = Schedule::asap(&current);
+    // The frames rule. At the Physical levels the frames are the logical
+    // moments the lowering recorded, each timed as its measured Di & Wei
+    // layers. Those frames index the lowered op list, so they hold only
+    // while it is the final op list: once routing relabels or moves the
+    // ops, or cancel/fuse removes some, every ASAP moment of the final
+    // circuit becomes a frame of one gate time instead. So does a circuit
+    // with an op of arity ≥ 3 the lowering could not handle, which has no
+    // measured block. Routed noisy jobs are charged idle noise on these
+    // ASAP frames, and the noise goldens' routed cases pin that.
+    let frames = lowered_frames.map(|frames| {
+        if rewritten || current.iter().any(|op| op.arity() >= 3) {
+            FrameSchedule::from_moments(&schedule)
+        } else {
+            frames
+        }
+    });
+    let kernel_tags: Vec<KernelClass> = current.iter().map(KernelClass::of_operation).collect();
+    // When a frame partition exists, the physical depth is the measured
+    // frame depth (the raw ASAP depth of a lowered circuit both
+    // understates it — blocks can stagger — and overstates it — padding
+    // singles spill a layer).
+    let mut post = ResourceReport::from_parts(&current, &kernel_tags);
+    if let Some(frames) = &frames {
+        post.physical.physical_depth = frames.physical_depth();
+    }
+    if let Some(summary) = &routing {
+        post.routed = Some(RoutedCosts {
+            inserted_swaps: summary.inserted_swaps,
+            routed_two_qudit_gates: post.physical.two_qudit_gates,
+            routed_depth: post.physical.physical_depth,
+        });
+    }
+    CompiledIr {
+        source: circuit.clone(),
+        circuit: current,
+        schedule,
+        kernel_tags,
+        frames,
+        routing,
+        topology: topology.cloned(),
+        report: PipelineReport {
+            level,
+            pre,
+            post,
+            passes,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1341,8 +1028,7 @@ mod tests {
         c.push_controlled(Gate::z(3), &[Control::on_one(0)], &[1])
             .unwrap();
         c.push_gate(Gate::h(3), &[0]).unwrap();
-        let manager = PassManager::standard(PassLevel::Ideal);
-        let ir = manager.compile(&c);
+        let ir = compile(&c, PassLevel::Ideal);
         assert_eq!(ir.circuit().len(), 3);
     }
 
@@ -1556,19 +1242,5 @@ mod tests {
         let text = ir.report().to_string();
         assert!(text.contains("fuse"), "{text}");
         assert!(text.contains("ideal"), "{text}");
-    }
-
-    #[test]
-    fn custom_pipelines_run_pushed_passes() {
-        let mut c = Circuit::new(3, 1);
-        c.push_gate(Gate::h(3), &[0]).unwrap();
-        c.push_gate(Gate::h(3), &[0]).unwrap();
-        let mut manager = PassManager::empty(PassLevel::Ideal);
-        manager.push(Box::new(CancellationPass));
-        let ir = manager.compile(&c);
-        // H then H is an adjacent self-inverse pair: cancellation alone
-        // removes it (round 1 changes, round 2 confirms the fixpoint).
-        assert_eq!(ir.circuit().len(), 0);
-        assert_eq!(ir.report().passes.iter().filter(|s| s.changed()).count(), 1);
     }
 }

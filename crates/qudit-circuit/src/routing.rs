@@ -2,17 +2,17 @@
 //! insertion.
 //!
 //! Devices are not all-to-all connected, but every circuit in this IR is
-//! written against a fully connected logical register. The [`RoutingPass`]
-//! closes the gap for a given [`Topology`]: it picks an initial *placement*
-//! of logical qudits onto physical sites by greedy interaction-graph
-//! mapping (optionally steered by per-site and per-edge quality weights, so
-//! the hottest qudits land on the least noisy sites and away from the worst
-//! links), then walks the operation list and inserts qudit-SWAPs — chosen
-//! with a decaying-lookahead cost heuristic that also penalises executing a
-//! SWAP on a poor-quality edge — whenever a two-qudit gate's endpoints are
-//! not adjacent.
+//! written against a fully connected logical register. The compiler's
+//! route step closes the gap for a given [`Topology`]: it picks an initial
+//! *placement* of logical qudits onto physical sites by greedy
+//! interaction-graph mapping (optionally steered by per-site and per-edge
+//! quality weights, so the hottest qudits land on the least noisy sites
+//! and away from the worst links), then walks the operation list and
+//! inserts qudit-SWAPs — chosen with a decaying-lookahead cost heuristic
+//! that also penalises executing a SWAP on a poor-quality edge — whenever
+//! a two-qudit gate's endpoints are not adjacent.
 //!
-//! The routed circuit acts on *sites*. The pass records the initial
+//! The routed circuit acts on *sites*. Routing records the initial
 //! placement and the final (post-SWAP) logical→site mapping in a
 //! [`RoutingSummary`]; composing the routed circuit with those
 //! permutations recovers the original unitary exactly, which is what the
@@ -24,15 +24,14 @@
 //!
 //! Inserted SWAPs are full `d²`-permutations ([`Gate::swap`]) named
 //! `"RSWAP"` so router-inserted operations remain distinguishable from the
-//! circuit's own gates. Routing runs once per compilation (it keys on the
-//! summary already being present) and leaves the operation list completely
+//! circuit's own gates. Routing leaves the operation list completely
 //! untouched when every multi-qudit gate is already nearest-neighbour — in
 //! particular on an all-to-all topology it is the identity on the op list.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::operation::{Control, Operation};
-use crate::passes::{CircuitIr, Pass, PassStats};
+use crate::passes::Step;
 use crate::topology::Topology;
 
 /// How many upcoming two-qudit interactions the SWAP heuristic scores.
@@ -40,8 +39,8 @@ const LOOKAHEAD_WINDOW: usize = 8;
 /// Geometric decay applied to each successive lookahead interaction.
 const LOOKAHEAD_DECAY: f64 = 0.5;
 
-/// What one [`RoutingPass`] invocation did: the placement permutations and
-/// the SWAP/unroutable counts the routed resource columns are built from.
+/// What routing did: the placement permutations and the SWAP/unroutable
+/// counts the routed resource columns are built from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoutingSummary {
     /// Initial placement: `placement[q]` is the site logical qudit `q`
@@ -60,7 +59,7 @@ pub struct RoutingSummary {
 
 impl RoutingSummary {
     /// An identity summary for `width` qudits: trivial placement, no SWAPs.
-    pub(crate) fn identity(width: usize) -> Self {
+    fn identity(width: usize) -> Self {
         RoutingSummary {
             placement: (0..width).collect(),
             final_mapping: (0..width).collect(),
@@ -78,90 +77,6 @@ impl RoutingSummary {
     }
 }
 
-/// The routing/mapping pass. See the module docs for the algorithm.
-#[derive(Clone, Debug)]
-pub struct RoutingPass {
-    topology: Topology,
-}
-
-impl RoutingPass {
-    /// A routing pass targeting `topology`. The topology's site count must
-    /// equal the width of the circuits it runs on; mismatched invocations
-    /// are recorded in the pass statistics and leave the circuit untouched
-    /// (the job layer rejects mismatches before compilation).
-    pub fn new(topology: Topology) -> Self {
-        RoutingPass { topology }
-    }
-
-    /// The topology this pass routes for.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-}
-
-impl Pass for RoutingPass {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn run(&self, ir: &mut CircuitIr) -> PassStats {
-        let ops_before = ir.circuit().len();
-        let stats = |ops_after: usize, detail: String| PassStats {
-            pass: "route",
-            round: 0,
-            ops_before,
-            ops_after,
-            detail,
-            rewrote: false,
-        };
-
-        if ir.routing.is_some() {
-            return stats(ops_before, "already routed".to_string());
-        }
-        let width = ir.circuit().width();
-        if self.topology.sites() != width {
-            return stats(
-                ops_before,
-                format!(
-                    "skipped: {} site(s) for width {width}",
-                    self.topology.sites()
-                ),
-            );
-        }
-
-        // Fast path: every multi-qudit gate is already nearest-neighbour
-        // under the identity mapping (always true on all-to-all). The op
-        // list — and any frame partition — stays untouched, so routing is
-        // provably the identity here.
-        let legal_as_is = self.topology.is_all_to_all()
-            || ir.circuit().iter().all(|op| {
-                let qs = op.qudits();
-                let local = pairs(&qs).all(|(a, b)| self.topology.is_adjacent(a, b));
-                local
-            });
-        if legal_as_is {
-            ir.routing = Some(RoutingSummary::identity(width));
-            return stats(ops_before, "already nearest-neighbour, 0 SWAPs".to_string());
-        }
-
-        let (ops, summary) = route(ir.circuit(), &self.topology);
-        let detail = format!(
-            "{} SWAP(s) inserted, {} unroutable op(s)",
-            summary.inserted_swaps, summary.unrouted
-        );
-        let ops_after = ops.len();
-        ir.replace_ops(ops);
-        ir.routing = Some(summary);
-        // Routing rewrites the op list (logical qudits → sites) even when
-        // it inserts zero SWAPs, so the count can come back unchanged.
-        // Report the rewrite explicitly: `replace_ops` cleared the frame
-        // partition, and only a follow-up fixpoint round re-derives it.
-        let mut stats = stats(ops_after, detail);
-        stats.rewrote = true;
-        stats
-    }
-}
-
 /// All unordered qudit pairs of one operation's support.
 fn pairs(qudits: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
     qudits
@@ -170,10 +85,29 @@ fn pairs(qudits: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
         .flat_map(move |(i, &a)| qudits[i + 1..].iter().map(move |&b| (a, b)))
 }
 
-/// Routes `circuit` onto `topology`: greedy placement, then SWAP insertion.
-fn route(circuit: &Circuit, topology: &Topology) -> (Vec<Operation>, RoutingSummary) {
+/// Routes `circuit` onto `topology`: greedy placement, then SWAP insertion
+/// (see the module docs). The topology's site count must equal the circuit
+/// width.
+///
+/// When every multi-qudit gate is already nearest-neighbour under the
+/// identity mapping (always true on all-to-all), the step returns no new op
+/// list: the operations, and the frames the lowering recorded for them,
+/// stay untouched. Otherwise it returns the routed op list even when it
+/// inserted no SWAP, because the placement relabels the qudits.
+pub(crate) fn route(circuit: &Circuit, topology: &Topology) -> (Step, RoutingSummary) {
     let width = circuit.width();
     let dim = circuit.dim();
+    let legal_as_is = topology.is_all_to_all()
+        || circuit
+            .iter()
+            .all(|op| pairs(&op.qudits()).all(|(a, b)| topology.is_adjacent(a, b)));
+    if legal_as_is {
+        let step = Step {
+            ops: None,
+            detail: "already nearest-neighbour, 0 SWAPs".to_string(),
+        };
+        return (step, RoutingSummary::identity(width));
+    }
     let dist = topology.all_distances();
 
     // Interaction graph: how often each logical pair interacts.
@@ -237,13 +171,17 @@ fn route(circuit: &Circuit, topology: &Topology) -> (Vec<Operation>, RoutingSumm
         out.push(remap_op(op, &l2p));
     }
 
+    let step = Step {
+        ops: Some(out),
+        detail: format!("{inserted_swaps} SWAP(s) inserted, {unrouted} unroutable op(s)"),
+    };
     let summary = RoutingSummary {
         placement,
         final_mapping: l2p,
         inserted_swaps,
         unrouted,
     };
-    (out, summary)
+    (step, summary)
 }
 
 /// Greedy interaction-graph placement: logical qudits in decreasing-hotness

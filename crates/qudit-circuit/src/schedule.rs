@@ -7,26 +7,6 @@
 //! depth (critical path length) is the number of moments.
 
 use crate::circuit::Circuit;
-use crate::operation::Operation;
-
-/// The duration class of one schedule moment — the quantity the paper's
-/// idle-error accounting is driven by (a moment lasts as long as its
-/// slowest gate).
-///
-/// This is the *single source of truth* shared by the compiler passes and
-/// the noise accounting in `qudit-noise`: both ask the [`Moment`] directly
-/// instead of re-deriving the class from gate arities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MomentDuration {
-    /// Only single-qudit gates: one single-qudit gate time.
-    SingleQudit,
-    /// Contains a gate touching ≥ 2 qudits: one two-qudit gate time.
-    MultiQudit,
-    /// Contains an operation touching ≥ 3 qudits *and* the caller accounts
-    /// such operations by their Di & Wei decomposition: six two-qudit gate
-    /// times.
-    ExpandedMultiQudit,
-}
 
 /// A set of operation indices that execute simultaneously.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -52,19 +32,6 @@ impl Moment {
     /// The largest arity among the moment's operations (0 when empty).
     pub fn max_arity(&self) -> usize {
         self.max_arity
-    }
-
-    /// The moment's duration class. `expand_three_qudit` selects whether
-    /// ≥ 3-qudit operations are accounted at their Di & Wei decomposition
-    /// length (six two-qudit gate times) or as a single two-qudit slot.
-    pub fn duration(&self, expand_three_qudit: bool) -> MomentDuration {
-        if expand_three_qudit && self.max_arity >= 3 {
-            MomentDuration::ExpandedMultiQudit
-        } else if self.max_arity >= 2 {
-            MomentDuration::MultiQudit
-        } else {
-            MomentDuration::SingleQudit
-        }
     }
 
     /// Records an operation in the moment.
@@ -128,36 +95,12 @@ impl Schedule {
         self.moments.len()
     }
 
-    /// Whether the given moment contains a multi-qudit (≥ 2 qudits)
-    /// operation. Shorthand for `moments()[moment].max_arity() >= 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `moment` is out of range.
-    pub fn moment_has_multi_qudit_gate(&self, moment: usize) -> bool {
-        self.moments[moment].max_arity() >= 2
-    }
-
     /// Iterates over `(moment index, &[operation index])` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[usize])> {
         self.moments
             .iter()
             .enumerate()
             .map(|(i, m)| (i, m.op_indices.as_slice()))
-    }
-
-    /// Resolves a moment's operations against the source circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `moment` is out of range or the circuit is not the one this
-    /// schedule was built from (index out of bounds).
-    pub fn operations_in<'c>(&self, circuit: &'c Circuit, moment: usize) -> Vec<&'c Operation> {
-        self.moments[moment]
-            .op_indices
-            .iter()
-            .map(|&i| &circuit.operations()[i])
-            .collect()
     }
 }
 
@@ -241,31 +184,27 @@ impl FrameSchedule {
         self.frames.iter().map(|f| f.duration().depth()).sum()
     }
 
-    /// Frames for an *unlowered* circuit, one per schedule moment, with
-    /// durations from [`Moment::duration`]: this is the virtual accounting
-    /// the deprecated `GateExpansion` shim preserves (`expand_three_qudit`
-    /// maps a ≥3-qudit moment to the Di & Wei constant of 6 layers instead
-    /// of a measured count).
-    pub fn from_moments(schedule: &Schedule, expand_three_qudit: bool) -> FrameSchedule {
+    /// One frame per schedule moment, lasting one two-qudit gate time when
+    /// the moment holds an operation on ≥ 2 qudits and one single-qudit
+    /// gate time otherwise. These are the frames of every
+    /// [`PassLevel::NoisePreserving`](crate::PassLevel::NoisePreserving)
+    /// noise program, and of a `Physical` compile whose op list a later
+    /// step replaced or that kept an operation it could not lower.
+    pub fn from_moments(schedule: &Schedule) -> FrameSchedule {
         let frames = schedule
             .moments()
             .iter()
             .map(|m| {
-                let duration = match m.duration(expand_three_qudit) {
-                    MomentDuration::SingleQudit => FrameDuration::SingleQudit,
-                    MomentDuration::MultiQudit => FrameDuration::TwoQuditLayers(1),
-                    MomentDuration::ExpandedMultiQudit => FrameDuration::TwoQuditLayers(6),
+                let duration = if m.max_arity() >= 2 {
+                    FrameDuration::TwoQuditLayers(1)
+                } else {
+                    FrameDuration::SingleQudit
                 };
                 Frame::new(m.op_indices.clone(), duration)
             })
             .collect();
         FrameSchedule { frames }
     }
-}
-
-/// Convenience: the ASAP depth of a circuit.
-pub fn circuit_depth(circuit: &Circuit) -> usize {
-    Schedule::asap(circuit).depth()
 }
 
 #[cfg(test)]
@@ -341,16 +280,16 @@ mod tests {
             .unwrap();
         let s = Schedule::asap(&c);
         assert_eq!(s.depth(), 1);
-        assert!(s.moment_has_multi_qudit_gate(0));
+        assert_eq!(s.moments()[0].max_arity(), 2);
 
         let mut c2 = Circuit::new(3, 1);
         c2.push_gate(Gate::x(3), &[0]).unwrap();
         let s2 = Schedule::asap(&c2);
-        assert!(!s2.moment_has_multi_qudit_gate(0));
+        assert_eq!(s2.moments()[0].max_arity(), 1);
     }
 
     #[test]
-    fn moment_duration_classifies_by_max_arity() {
+    fn moment_frames_are_timed_by_max_arity() {
         let mut c = Circuit::new(3, 3);
         c.push_gate(Gate::x(3), &[0]).unwrap();
         c.push_controlled(Gate::x(3), &[Control::on_one(1)], &[2])
@@ -362,36 +301,32 @@ mod tests {
         )
         .unwrap();
         let s = Schedule::asap(&c);
-        // Moment 0: an X and a 2-qudit CX in parallel.
-        let m0 = &s.moments()[0];
-        assert_eq!(m0.max_arity(), 2);
-        assert_eq!(m0.duration(true), MomentDuration::MultiQudit);
-        assert_eq!(m0.duration(false), MomentDuration::MultiQudit);
-        // Moment 1: the 3-qudit operation — expanded only under Di & Wei.
-        let m1 = &s.moments()[1];
-        assert_eq!(m1.max_arity(), 3);
-        assert_eq!(m1.duration(true), MomentDuration::ExpandedMultiQudit);
-        assert_eq!(m1.duration(false), MomentDuration::MultiQudit);
+        assert_eq!(s.moments()[0].max_arity(), 2);
+        assert_eq!(s.moments()[1].max_arity(), 3);
+        // Moment 0 (an X beside a 2-qudit CX) and moment 1 (the 3-qudit
+        // operation) both last one two-qudit gate time.
+        let frames = FrameSchedule::from_moments(&s);
+        assert_eq!(frames.frames()[0].op_indices(), &[0, 1]);
+        assert_eq!(
+            frames.frames()[0].duration(),
+            FrameDuration::TwoQuditLayers(1)
+        );
+        assert_eq!(frames.frames()[1].op_indices(), &[2]);
+        assert_eq!(
+            frames.frames()[1].duration(),
+            FrameDuration::TwoQuditLayers(1)
+        );
+        assert_eq!(frames.physical_depth(), 2);
 
         let mut single = Circuit::new(3, 1);
         single.push_gate(Gate::h(3), &[0]).unwrap();
-        let ss = Schedule::asap(&single);
-        assert_eq!(ss.moments()[0].duration(true), MomentDuration::SingleQudit);
+        let frames = FrameSchedule::from_moments(&Schedule::asap(&single));
+        assert_eq!(frames.frames()[0].duration(), FrameDuration::SingleQudit);
     }
 
     #[test]
     fn empty_circuit_has_zero_depth() {
         let c = Circuit::new(3, 4);
-        assert_eq!(circuit_depth(&c), 0);
-    }
-
-    #[test]
-    fn operations_in_resolves_against_circuit() {
-        let mut c = Circuit::new(3, 2);
-        c.push_gate(Gate::x(3), &[0]).unwrap();
-        c.push_gate(Gate::h(3), &[1]).unwrap();
-        let s = Schedule::asap(&c);
-        let ops = s.operations_in(&c, 0);
-        assert_eq!(ops.len(), 2);
+        assert_eq!(Schedule::asap(&c).depth(), 0);
     }
 }

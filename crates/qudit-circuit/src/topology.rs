@@ -4,8 +4,9 @@
 //! workspace) implicitly assumes an all-to-all device: any two qudits can
 //! interact directly. Real hardware is connectivity-constrained, so a
 //! [`Topology`] describes which pairs of physical sites support a two-qudit
-//! gate, and the [`RoutingPass`](crate::RoutingPass) maps logical qudits
-//! onto sites and inserts qudit-SWAPs to make every interaction local.
+//! gate, and the compiler's route step ([`crate::routing`]) maps logical
+//! qudits onto sites and inserts qudit-SWAPs to make every interaction
+//! local.
 //!
 //! Four standard families are provided — linear chain, ring, 2-D grid and a
 //! heavy-hex row (hexagon chain with a site on every edge, the degree-≤3

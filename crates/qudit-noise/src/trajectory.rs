@@ -377,7 +377,7 @@ impl NoiseProgram {
                 )
             }
             PassLevel::NoisePreserving => {
-                program_frames(&FrameSchedule::from_moments(ir.schedule(), false))
+                program_frames(&FrameSchedule::from_moments(ir.schedule()))
             }
             level => {
                 return Err(NoiseError::UnsupportedLevel {

@@ -1,7 +1,7 @@
 //! Differential harness for the physical Di & Wei lowering.
 //!
-//! The `DecompositionPass` changes *how* every ≥3-qudit operation is
-//! executed (a real 6 two-qudit + 7 single-qudit block in the IR instead of
+//! The compiler's decompose step (the `Physical` pass levels) changes *how*
+//! every ≥3-qudit operation is executed (a real 6 two-qudit + 7 single-qudit block in the IR instead of
 //! synthetic per-arity error sites in the noise backends). Two properties
 //! pin the cutover:
 //!
@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 use qudit_api::{BackendKind, Executor, InputState, JobSpec};
 use qudit_circuit::passes::{compile, PassLevel};
-use qudit_circuit::{Circuit, Control, Gate, MomentDuration, Schedule};
+use qudit_circuit::{Circuit, Control, Gate, Schedule};
 use qudit_core::{random_qubit_subspace_state, random_state, StateVector};
 use qudit_noise::{models, NoiseModel};
 use qudit_sim::{reference, CompiledCircuit, DensityMatrix};
@@ -213,10 +213,11 @@ fn virtual_diwei_fidelity(circuit: &Circuit, model: &NoiseModel, input: &StateVe
                 }
             }
         }
-        let dt = match moment.duration(true) {
-            MomentDuration::SingleQudit => model.gate_time_1q,
-            MomentDuration::MultiQudit => model.gate_time_2q,
-            MomentDuration::ExpandedMultiQudit => 6.0 * model.gate_time_2q,
+        // A ≥3-qudit operation lasts its Di & Wei block: six two-qudit times.
+        let dt = match moment.max_arity() {
+            0 | 1 => model.gate_time_1q,
+            2 => model.gate_time_2q,
+            _ => 6.0 * model.gate_time_2q,
         };
         if let Some(idle) = model.idle_error(d, dt).unwrap() {
             let idle = idle.superoperator();

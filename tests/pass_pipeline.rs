@@ -12,14 +12,16 @@
 //!    equal — and the exact density-matrix backend's fidelity must be
 //!    bit-identical on the raw and transformed circuits.
 //!
-//! Plus cross-checks that the specialization tags match the kernels the
-//! simulator actually dispatches, and that the pipeline measurably reduces
-//! kernel invocations on paper constructions (Grover, the incrementer).
+//! Plus cross-checks that the kernel tags match the kernels the simulator
+//! actually dispatches, that the Ideal level measurably reduces kernel
+//! invocations on paper constructions (Grover, the incrementer), and that
+//! every compile of a fixed corpus matches
+//! `tests/golden/compile_corpus.txt` field for field.
 
 use proptest::prelude::*;
 use qudit_api::{BackendKind, Executor, InputState, JobSpec};
-use qudit_circuit::passes::{compile, PassLevel};
-use qudit_circuit::{Circuit, Control, Gate, Schedule};
+use qudit_circuit::passes::{compile, compile_with_topology, PassLevel};
+use qudit_circuit::{Circuit, Control, Gate, Operation, Schedule, Topology};
 use qudit_core::{complex_gaussian, random_state, CMatrix, Complex};
 use qudit_noise::models;
 use qudit_sim::{reference, ApplyPlan, CompiledCircuit};
@@ -242,4 +244,200 @@ fn ideal_passes_reduce_kernel_invocations_on_paper_constructions() {
             "value {value}"
         );
     }
+}
+
+/// 64-bit FNV-1a over everything written into it. Written out here because
+/// std's `DefaultHasher` is not stable across Rust releases, and the golden
+/// must be.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, text: &str) -> std::fmt::Result {
+        for byte in text.bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// A seeded random circuit with every op shape the compiler treats
+/// differently: single-qudit gates, one-, two- and three-control ops (the
+/// last two are lowered at the Physical levels), controlled SWAPs (arity-3
+/// multi-target ops the lowering passes through), and ops followed by
+/// their inverse or by a repeat.
+fn corpus_random_circuit(seed: u64) -> Circuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dim = 2 + (seed % 2) as usize;
+    let width = 3 + (seed / 2 % 4) as usize;
+    let ops = rng.gen_range(6..16);
+    let mut circuit = Circuit::new(dim, width);
+    while circuit.len() < ops {
+        let mut qudits: Vec<usize> = (0..width).collect();
+        for i in (1..width).rev() {
+            qudits.swap(i, rng.gen_range(0..i + 1));
+        }
+        let gate = match rng.gen_range(0..6) {
+            0 => Gate::increment(dim),
+            1 => Gate::decrement(dim),
+            2 => Gate::x(dim),
+            3 => Gate::h(dim),
+            4 => Gate::clock(dim),
+            _ => Gate::fourier(dim),
+        };
+        let controls: Vec<Control> = qudits[1..]
+            .iter()
+            .map(|&q| Control::new(q, rng.gen_range(0..dim)))
+            .collect();
+        let op = match rng.gen_range(0..6) {
+            0 => Operation::new(gate, vec![], vec![qudits[0]]),
+            1 | 2 => Operation::new(gate, controls[..1].to_vec(), vec![qudits[0]]),
+            3 => Operation::new(gate, controls[..2].to_vec(), vec![qudits[0]]),
+            4 if width >= 4 => Operation::new(gate, controls[..3].to_vec(), vec![qudits[0]]),
+            _ => Operation::new(
+                Gate::swap(dim),
+                vec![controls[1]],
+                vec![qudits[0], qudits[1]],
+            ),
+        }
+        .unwrap();
+        circuit.push(op.clone()).unwrap();
+        match rng.gen_range(0..4) {
+            0 => circuit.push(op.inverse()).unwrap(),
+            1 => circuit.push(op).unwrap(),
+            _ => {}
+        }
+    }
+    circuit
+}
+
+/// The corpus: the paper's constructions, the algorithm catalog and seeded
+/// random circuits.
+fn corpus_circuits() -> Vec<(String, Circuit)> {
+    use qutrit_toffoli::baselines::{he_log_depth, qubit_no_ancilla, qubit_one_dirty_ancilla};
+    use qutrit_toffoli::gen_toffoli::n_controlled_x;
+    let mut circuits = Vec::new();
+    for n in [2, 3, 4, 5, 6, 7, 8, 11] {
+        circuits.push((format!("ncx{n}"), n_controlled_x(n).unwrap()));
+    }
+    for n in 2..=5 {
+        circuits.push((format!("qubit{n}"), qubit_no_ancilla(n, 2).unwrap()));
+        circuits.push((
+            format!("qubit_ancilla{n}"),
+            qubit_one_dirty_ancilla(n, 2).unwrap(),
+        ));
+    }
+    for n in 3..=5 {
+        circuits.push((format!("he{n}"), he_log_depth(n, 2).unwrap()));
+    }
+    for bits in 3..=8 {
+        circuits.push((format!("incrementer{bits}"), incrementer(bits).unwrap()));
+    }
+    circuits.push((
+        "grover4".to_string(),
+        grover_circuit(4, 11, optimal_iterations(4)).unwrap(),
+    ));
+    for case in qudit_algos::catalog() {
+        circuits.push((case.name.to_string(), case.circuit()));
+    }
+    for seed in 0..64 {
+        circuits.push((format!("random{seed}"), corpus_random_circuit(seed)));
+    }
+    circuits
+}
+
+/// No topology, then every family that fits the width: all-to-all, line,
+/// ring, the squarest grid with both sides ≥ 2, and heavy-hex(1) at its 12
+/// sites.
+fn corpus_topologies(width: usize) -> Vec<Option<Topology>> {
+    let mut topologies = vec![
+        None,
+        Some(Topology::all_to_all(width).unwrap()),
+        Some(Topology::linear(width).unwrap()),
+        Some(Topology::ring(width).unwrap()),
+    ];
+    if let Some(rows) = (2..width)
+        .rev()
+        .find(|&r| r * r <= width && width.is_multiple_of(r))
+    {
+        topologies.push(Some(Topology::grid(rows, width / rows).unwrap()));
+    }
+    let heavy_hex = Topology::heavy_hex(1).unwrap();
+    if heavy_hex.sites() == width {
+        topologies.push(Some(heavy_hex));
+    }
+    topologies
+}
+
+/// One line per (circuit, level, topology): the op count, frame count,
+/// post depth and routed SWAP count, and an FNV-1a digest of the `Debug`
+/// text of everything the compile produced except the per-step statistics.
+fn corpus_lines() -> Vec<String> {
+    use std::fmt::Write;
+    let mut lines = Vec::new();
+    for (name, circuit) in corpus_circuits() {
+        for level in [
+            PassLevel::NoisePreserving,
+            PassLevel::Physical,
+            PassLevel::PhysicalIdeal,
+            PassLevel::Ideal,
+        ] {
+            for topology in corpus_topologies(circuit.width()) {
+                let ir = compile_with_topology(&circuit, level, topology.as_ref());
+                let report = ir.report();
+                let mut digest = Fnv1a(0xcbf2_9ce4_8422_2325);
+                write!(
+                    digest,
+                    "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+                    ir.circuit(),
+                    ir.schedule(),
+                    ir.frames(),
+                    ir.kernel_tags(),
+                    ir.routing(),
+                    ir.topology(),
+                    report.level,
+                    report.pre,
+                    report.post,
+                    ir.reference_circuit(),
+                )
+                .unwrap();
+                let topology = topology.map_or("none".to_string(), |t| t.to_string());
+                lines.push(format!(
+                    "{name} {} {topology} ops={} frames={} depth={} swaps={} fnv={:016x}",
+                    level.name(),
+                    ir.circuit().len(),
+                    ir.frames().map_or(0, |f| f.frames().len()),
+                    report.post.depth(),
+                    ir.routing().map_or(0, |r| r.inserted_swaps),
+                    digest.0,
+                ));
+            }
+        }
+    }
+    lines
+}
+
+/// Every compile of the corpus matches the golden: the circuit, schedule,
+/// frames, kernel tags, routing, topology, level, both resource reports
+/// and the reference circuit. Among other things this pins the frames rule
+/// for Physical compiles that keep an op they could not lower, which no
+/// semantic test distinguishes.
+#[test]
+fn compile_corpus_matches_the_golden() {
+    let golden: Vec<&str> = include_str!("golden/compile_corpus.txt").lines().collect();
+    let lines = corpus_lines();
+    assert_eq!(lines.len(), golden.len(), "corpus size changed");
+    let mismatches: Vec<String> = lines
+        .iter()
+        .zip(&golden)
+        .filter(|(line, expected)| line != *expected)
+        .map(|(line, expected)| format!("  expected {expected}\n  got      {line}"))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} compiles differ from tests/golden/compile_corpus.txt, first ones:\n{}",
+        mismatches.len(),
+        lines.len(),
+        mismatches[..mismatches.len().min(10)].join("\n")
+    );
 }

@@ -80,8 +80,9 @@ fn incrementer_8_resources_are_pinned() {
 #[test]
 fn lowered_n_controlled_x_15_reproduces_the_inferred_goldens() {
     // The cutover pin: the *measured* resources of the physically lowered
-    // circuit must equal what `Moment::duration(true)` / the Di & Wei cost
-    // weights have always inferred — 85 two-qudit gates and physical depth
+    // circuit must equal what the virtual accounting (six two-qudit layers
+    // per ≥3-qudit moment) and the Di & Wei cost weights have always
+    // inferred — 85 two-qudit gates and physical depth
     // 37 for nCX(15) (14 tree ops × 6 + the central gate; 6 tree moments
     // × 6 layers + 1).
     let circuit = n_controlled_x(15).unwrap();

@@ -415,10 +415,10 @@ fn genuinely_routed_noisy_job_charges_the_inserted_swaps() {
 fn relabeling_only_routing_still_records_frames() {
     // incrementer(4) embeds in a 2x2 grid with zero SWAPs but a
     // non-identity placement: routing rewrites the op list (relabeling
-    // qudits onto sites) without changing its length. The rewrite clears
-    // the frame partition, and the fixpoint loop must run the follow-up
-    // round that re-derives it — the noise backends panic on a Physical
-    // IR without frames. Regression test for exactly that panic.
+    // qudits onto sites) without changing its length. The rewrite
+    // invalidates the lowering's frames, and the compiler must re-derive
+    // them from the routed circuit — the noise backends panic on a
+    // Physical IR without frames. Regression test for exactly that panic.
     let circuit = incrementer(4).unwrap();
     let topology = Topology::grid(2, 2).unwrap();
     let ir = compile_with_topology(&circuit, PassLevel::Physical, Some(&topology));
