@@ -19,13 +19,25 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// let i = Complex::I;
 /// assert_eq!(i * i, Complex::new(-1.0, 0.0));
 /// ```
+///
+/// The layout is guaranteed: `re` then `im`, two f64s with no padding, so
+/// a `[Complex]` buffer can be read as interleaved `(re, im)` f64 pairs
+/// (the simulator's SIMD kernels do).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
     /// Imaginary part.
     pub im: f64,
 }
+
+const _: () = {
+    assert!(std::mem::size_of::<Complex>() == 16);
+    assert!(std::mem::align_of::<Complex>() == 8);
+    assert!(std::mem::offset_of!(Complex, re) == 0);
+    assert!(std::mem::offset_of!(Complex, im) == 8);
+};
 
 impl Complex {
     /// The additive identity `0 + 0i`.

@@ -16,30 +16,42 @@
 //!   unbroken counter (strides `s, s·d, s·d², …`), consecutive group bases
 //!   advance by the constant `run_stride` `s`. The enumerator emits whole
 //!   *runs* `(base, count)` instead of single bases, and the kernels walk
-//!   each run as cache-line-contiguous tiles: permutation cycles become
-//!   block copies (`memcpy`-speed, full cache-line utilisation), diagonal
-//!   scales become contiguous span sweeps, and the dense kernels gather a
-//!   tile of groups into split re/im lanes and do the matrix multiply
-//!   vectorised *across groups*.
-//! * **Split-lane SIMD** ([`SimdLevel`]): the dense run kernels keep the
-//!   scratch in separate `re`/`im` f64 lanes, which the autovectorizer can
-//!   hold in SIMD registers; on x86-64 an explicit AVX2+FMA path (selected
-//!   once per process by runtime feature detection, overridable with the
-//!   `QUDIT_SIMD` environment variable) processes four groups per
-//!   instruction. Non-x86 hosts and pre-AVX2 CPUs take the scalar
+//!   each run directly: permutation cycles become block copies
+//!   (`memcpy`-speed, full cache-line utilisation), diagonal scales become
+//!   contiguous span sweeps, and dense gates multiply group by group in
+//!   place (blocks of at most four amplitudes) or tile by tile (larger
+//!   blocks).
+//! * **In-place dense kernel** (`dense_in_place`): a dense gate whose block
+//!   holds `B ≤ 4` amplitudes (`k = 1` at `d ≤ 4`, `k = 2` at `d = 2` —
+//!   every dense gate of the three Figure 11 programs at `Physical`) is
+//!   monomorphised over `B`. Each group's `B` amplitudes are loaded once
+//!   from the interleaved buffer, all `B` output rows accumulate in
+//!   registers at the same time, and the rows are stored back: no scratch,
+//!   no gather and no scatter.
+//! * **Tiled dense kernel** (`run_dense_tiled`): larger blocks (`k = 2` at
+//!   `d ≥ 3`, `k ≥ 3`, `d ≥ 5`) would need more accumulators than there
+//!   are registers, so long runs gather a tile of groups into split re/im
+//!   lanes and multiply vectorised *across groups*; short runs take a
+//!   per-group gather–scatter kernel.
+//! * **SIMD levels** ([`SimdLevel`]): on x86-64 an explicit AVX2+FMA path
+//!   (selected once per process by runtime feature detection, overridable
+//!   with the `QUDIT_SIMD` environment variable) multiplies two groups per
+//!   instruction in place (interleaved `re, im` pairs) and four per
+//!   instruction in the tiles (split lanes). Both dense kernels round
+//!   identically: the in-place kernel repeats the tiled kernel's FMA chain
+//!   and its scalar tail group for group, so the choice between them never
+//!   moves an amplitude. Non-x86 hosts and pre-AVX2 CPUs take the scalar
 //!   fallback — there are no external SIMD crates involved.
 //! * **Apply plans** ([`ApplyPlan`]): the per-operation precomputation
 //!   (target strides, gather offsets, control offset, matrix in flat
-//!   row-major and split re/im form, kernel selection, run shape) is done
-//!   once and reused — the trajectory simulator replays the same circuit
-//!   thousands of times, so plans are built per [`Operation`], not per
-//!   application.
-//! * **Specialised kernels**: monomorphic `k = 1` / `k = 2` kernels for the
-//!   dominant qubit/qutrit dimensions (stack-allocated scratch, no branch in
-//!   the multiply) cover the short-run tail, a sparse permutation fast path
-//!   handles classical gates (`X`, `X+1`, `X−1`, level swaps — applied as
-//!   precomputed index cycles, no complex arithmetic at all), and a generic
-//!   gather–scatter kernel is the fallback.
+//!   row-major form plus split re/im lanes for the tiled and diagonal
+//!   kernels, kernel selection, run shape) is done once and reused —
+//!   the trajectory simulator replays the same circuit thousands of times,
+//!   so plans are built per [`Operation`], not per application.
+//! * **Structural kernels**: a sparse permutation fast path handles
+//!   classical gates (`X`, `X+1`, `X−1`, level swaps — applied as
+//!   precomputed index cycles, no complex arithmetic at all) and a diagonal
+//!   kernel handles phase-type gates.
 //! * **Parallelism**: when `ApplyPlan::should_parallelize` estimates
 //!   enough per-group work (groups × flops-per-group, not just state
 //!   length), the groups are partitioned into contiguous ranges and
@@ -52,6 +64,7 @@ use qudit_circuit::passes::KERNEL_CLASS_TOL;
 use qudit_circuit::{KernelClass, Operation};
 use qudit_core::{CMatrix, Complex, StateVector};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 
 /// Historical floor on state length for parallel dispatch, kept for the
 /// density backend's elementwise sweeps (trace, fidelity, renormalise).
@@ -73,15 +86,29 @@ pub const PAR_MIN_AMPS: usize = 1 << 14;
 /// permutation/diagonal sweep (`d` moves/group) two registers later.
 pub const PAR_MIN_WORK: usize = 1 << 17;
 
-/// Minimum run length before the dense kernels switch from the monomorphic
-/// per-group path to the tiled split-lane (SIMD-capable) path: one AVX2
-/// vector holds four f64 lanes, so shorter runs cannot fill a register.
+/// Minimum plan run length before a dense gate on a block of more than
+/// [`IN_PLACE_MAX_BLOCK`] amplitudes switches from the per-group
+/// gather–scatter kernel to the tiled split-lane (SIMD-capable) kernel:
+/// one AVX2 vector holds four f64 lanes, so shorter runs cannot fill a
+/// register. Smaller blocks always take the in-place kernel.
 const RUN_DENSE_MIN: usize = 4;
 
-/// Groups per tile in the dense run kernels: bounds the split-lane scratch
+/// Groups per tile in the tiled dense kernel (blocks of more than
+/// [`IN_PLACE_MAX_BLOCK`] amplitudes): bounds the split-lane scratch
 /// (`2 · block · DENSE_TILE` f64) to stay L1/L2-resident even for `k = 2`
 /// qutrit blocks.
 const DENSE_TILE: usize = 128;
+
+/// Largest dense block the in-place kernel serves. A block of `B`
+/// amplitudes keeps `B` inputs and `B` accumulators in AVX2 registers;
+/// at `B = 9` (`k = 2` qutrits) that is more than the sixteen ymm
+/// registers hold, so larger blocks stay on the tiled kernel.
+const IN_PLACE_MAX_BLOCK: usize = 4;
+
+/// Widest register a plan addresses: the run odometer keeps one digit per
+/// free qudit in a fixed array. `d^n` overflows `usize` before `n` reaches
+/// 64 for every `d ≥ 2`.
+const MAX_QUDITS: usize = 64;
 
 /// Amplitudes per tile in the blocked permutation rotation (32 KiB — L1
 /// sized). Tiling keeps the rotation's save-buffer cache-resident, so a
@@ -102,7 +129,8 @@ const PERM_TOL: f64 = KERNEL_CLASS_TOL;
 /// green regardless of the host CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Split-lane scalar f64 arithmetic (still autovectorizer-friendly).
+    /// Scalar f64 arithmetic (the tiled kernel's split lanes stay
+    /// autovectorizer-friendly).
     Scalar,
     /// Explicit `core::arch::x86_64` AVX2+FMA intrinsics, four f64 lanes
     /// per instruction. Only ever selected when the running CPU reports
@@ -205,18 +233,11 @@ enum PlanKind {
         diag: Vec<Complex>,
         split: SplitMatrix,
     },
-    /// Dense single-target gate.
-    DenseK1 {
-        stride: usize,
-        matrix: Vec<Complex>,
-        split: SplitMatrix,
-    },
-    /// Dense two-target gate (gathers through the offsets table).
-    DenseK2 {
-        matrix: Vec<Complex>,
-        split: SplitMatrix,
-    },
-    /// Dense gate on three or more targets: generic gather–scatter.
+    /// Dense gate on a block of at most [`IN_PLACE_MAX_BLOCK`] amplitudes,
+    /// multiplied in place by `dense_in_place`.
+    DenseInPlace { matrix: Vec<Complex> },
+    /// Dense gate on a larger block: tiled split-lane multiply over long
+    /// runs, per-group gather–scatter over short ones.
     Dense {
         matrix: Vec<Complex>,
         split: SplitMatrix,
@@ -293,7 +314,9 @@ impl ApplyPlan {
     /// # Panics
     ///
     /// See [`ApplyPlan::for_matrix`]; additionally panics if a control
-    /// repeats or overlaps a target, or a control level is `>= dim`.
+    /// repeats or overlaps a target, a control level is `>= dim`, or the
+    /// register is wider than 64 qudits or its `dim^num_qudits` amplitudes
+    /// overflow `usize`.
     pub fn new(
         dim: usize,
         num_qudits: usize,
@@ -302,6 +325,10 @@ impl ApplyPlan {
         controls: &[(usize, usize)],
     ) -> Self {
         let n = num_qudits;
+        let len = dim
+            .checked_pow(n as u32)
+            .filter(|_| n <= MAX_QUDITS)
+            .expect("a dim^num_qudits register must be addressable");
         let k = targets.len();
         let block = dim.pow(k as u32);
         assert_eq!(matrix.rows(), block, "matrix size must be dim^k");
@@ -333,7 +360,6 @@ impl ApplyPlan {
             .sum();
         let free_strides: Vec<usize> = (0..n).filter(|&q| !seen[q]).map(stride_of).collect();
         let groups = dim.pow(free_strides.len() as u32);
-        let len = dim.pow(n as u32);
 
         // Contiguous ⇔ no controls and the targets are exactly the k
         // least-significant qudits (in any order): the offsets then form a
@@ -379,21 +405,14 @@ impl ApplyPlan {
                 }
                 None => {
                     let flat = matrix.as_slice().to_vec();
-                    let split = SplitMatrix::of(&flat);
-                    match k {
-                        1 => PlanKind::DenseK1 {
-                            stride: t_strides[0],
+                    if (2..=IN_PLACE_MAX_BLOCK).contains(&block) {
+                        PlanKind::DenseInPlace { matrix: flat }
+                    } else {
+                        let split = SplitMatrix::of(&flat);
+                        PlanKind::Dense {
                             matrix: flat,
                             split,
-                        },
-                        2 => PlanKind::DenseK2 {
-                            matrix: flat,
-                            split,
-                        },
-                        _ => PlanKind::Dense {
-                            matrix: flat,
-                            split,
-                        },
+                        }
                     }
                 }
             },
@@ -461,9 +480,7 @@ impl ApplyPlan {
             PlanKind::Identity => KernelClass::Identity,
             PlanKind::Permutation { .. } => KernelClass::Permutation,
             PlanKind::Diagonal { .. } => KernelClass::Diagonal,
-            PlanKind::DenseK1 { .. } | PlanKind::DenseK2 { .. } | PlanKind::Dense { .. } => {
-                KernelClass::Dense
-            }
+            PlanKind::DenseInPlace { .. } | PlanKind::Dense { .. } => KernelClass::Dense,
         }
     }
 
@@ -486,9 +503,7 @@ impl ApplyPlan {
             PlanKind::Identity => 0,
             PlanKind::Permutation { flat, .. } => flat.len(),
             PlanKind::Diagonal { .. } => self.block,
-            PlanKind::DenseK1 { .. } | PlanKind::DenseK2 { .. } | PlanKind::Dense { .. } => {
-                4 * self.block * self.block
-            }
+            PlanKind::DenseInPlace { .. } | PlanKind::Dense { .. } => 4 * self.block * self.block,
         };
         self.groups.saturating_mul(per_group)
     }
@@ -599,9 +614,11 @@ impl ApplyPlan {
     ///
     /// The kernel kind is matched once out here; the per-group inner loops
     /// contain no `pow`, no division and no branching on the plan shape.
-    /// Long runs dispatch to the blocked kernels (contiguous copies /
-    /// span scales / tiled split-lane multiplies); short runs fall back to
-    /// the monomorphic per-group kernels.
+    /// Long runs dispatch to the blocked kernels (contiguous copies / span
+    /// scales / tiled split-lane multiplies for blocks of more than
+    /// [`IN_PLACE_MAX_BLOCK`] amplitudes); short runs fall back to the
+    /// per-group kernels. Small dense blocks take the in-place kernel at
+    /// every run length.
     pub(crate) fn run_groups(&self, amps: AmpsPtr, start: usize, end: usize, simd: SimdLevel) {
         if start >= end {
             return;
@@ -610,10 +627,9 @@ impl ApplyPlan {
             PlanKind::Identity => {}
             PlanKind::Permutation { flat, bounds } => {
                 if self.run >= 2 && self.run_stride == 1 {
-                    let mut tmp = vec![Complex::ZERO; self.run.min(end - start).min(PERM_TILE)];
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_permutation_blocks(amps, base, count, flat, bounds, &mut tmp);
-                    });
+                    // SAFETY: the caller owns the groups `start..end` of
+                    // this plan's buffer, and the run stride is 1.
+                    unsafe { self.permutation_runs(amps, start, end, flat, bounds) };
                 } else {
                     let rs = self.run_stride;
                     self.for_each_run(start, end, |base, count| unsafe {
@@ -641,108 +657,17 @@ impl ApplyPlan {
                     });
                 }
             }
-            PlanKind::DenseK1 {
-                stride,
-                matrix,
-                split,
-            } => {
-                if self.run >= RUN_DENSE_MIN {
-                    let mut scratch = RunScratch::for_block(self.block);
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_dense_tiled(
-                            amps,
-                            base,
-                            count,
-                            self.run_stride,
-                            &self.offsets,
-                            split,
-                            simd,
-                            &mut scratch,
-                        );
-                    });
-                } else {
-                    let s = *stride;
-                    let rs = self.run_stride;
-                    match self.dim {
-                        2 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<2>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        3 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<3>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        4 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<4>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        _ => {
-                            let mut scratch = vec![Complex::ZERO; self.block];
-                            self.for_each_run(start, end, |base, count| unsafe {
-                                let mut b = base;
-                                for _ in 0..count {
-                                    group_dense(amps, b, &self.offsets, matrix, &mut scratch);
-                                    b += rs;
-                                }
-                            });
-                        }
-                    }
+            // SAFETY: the caller owns the groups `start..end` of this
+            // plan's buffer; the plan holds `block²` entries, and `block`
+            // selects the matching `B`.
+            PlanKind::DenseInPlace { matrix } => unsafe {
+                match self.block {
+                    2 => dense_in_place::<2>(self, amps, start, end, matrix, simd),
+                    3 => dense_in_place::<3>(self, amps, start, end, matrix, simd),
+                    4 => dense_in_place::<4>(self, amps, start, end, matrix, simd),
+                    block => unreachable!("in-place dense plan with a block of {block}"),
                 }
-            }
-            PlanKind::DenseK2 { matrix, split } => {
-                if self.run >= RUN_DENSE_MIN {
-                    let mut scratch = RunScratch::for_block(self.block);
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_dense_tiled(
-                            amps,
-                            base,
-                            count,
-                            self.run_stride,
-                            &self.offsets,
-                            split,
-                            simd,
-                            &mut scratch,
-                        );
-                    });
-                } else {
-                    let rs = self.run_stride;
-                    match self.dim {
-                        2 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k2_fixed::<2, 4>(amps, b, &self.offsets, matrix);
-                                b += rs;
-                            }
-                        }),
-                        3 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k2_fixed::<3, 9>(amps, b, &self.offsets, matrix);
-                                b += rs;
-                            }
-                        }),
-                        _ => {
-                            let mut scratch = vec![Complex::ZERO; self.block];
-                            self.for_each_run(start, end, |base, count| unsafe {
-                                let mut b = base;
-                                for _ in 0..count {
-                                    group_dense(amps, b, &self.offsets, matrix, &mut scratch);
-                                    b += rs;
-                                }
-                            });
-                        }
-                    }
-                }
-            }
+            },
             PlanKind::Dense { matrix, split } => {
                 if self.run >= RUN_DENSE_MIN {
                     let mut scratch = RunScratch::for_block(self.block);
@@ -758,6 +683,18 @@ impl ApplyPlan {
                             &mut scratch,
                         );
                     });
+                } else if self.block == 9 {
+                    let rs = self.run_stride;
+                    let offsets: &[usize; 9] = self.offsets[..].try_into().expect("9 offsets");
+                    // SAFETY: the caller owns the groups `start..end`, whose
+                    // bases the runs enumerate, and `matrix` holds 81 entries.
+                    self.for_each_run(start, end, |base, count| unsafe {
+                        let mut b = base;
+                        for _ in 0..count {
+                            group_fixed::<9>(amps, b, offsets, matrix);
+                            b += rs;
+                        }
+                    });
                 } else {
                     let rs = self.run_stride;
                     let mut scratch = vec![Complex::ZERO; self.block];
@@ -771,6 +708,30 @@ impl ApplyPlan {
                 }
             }
         }
+    }
+
+    /// The blocked permutation kernel over the runs of the groups
+    /// `start..end`, with its save buffer on the stack. Kept out of line so
+    /// only permutation plans pay for the 32 KiB frame.
+    ///
+    /// # Safety
+    ///
+    /// `amps` must be the plan's buffer (or a worker's chunk of it) with
+    /// exclusive access to the groups, and the plan must have
+    /// `run_stride == 1`.
+    #[inline(never)]
+    unsafe fn permutation_runs(
+        &self,
+        amps: AmpsPtr,
+        start: usize,
+        end: usize,
+        flat: &[usize],
+        bounds: &[usize],
+    ) {
+        let mut tmp = [MaybeUninit::<Complex>::uninit(); PERM_TILE];
+        self.for_each_run(start, end, |base, count| {
+            run_permutation_blocks(amps, base, count, flat, bounds, &mut tmp);
+        });
     }
 
     /// Calls `f(base, count)` for maximal runs of consecutive groups in
@@ -789,7 +750,8 @@ impl ApplyPlan {
         let rs = self.run_stride;
         let upper = &self.free_strides[..self.free_strides.len() - self.run_digits];
         let ucount = upper.len();
-        let mut digits = vec![0usize; ucount];
+        let mut digit_buf = [0usize; MAX_QUDITS];
+        let digits = &mut digit_buf[..ucount];
         let block_idx = start / run;
         let mut within = start - block_idx * run;
         let mut base = self.control_offset;
@@ -906,18 +868,20 @@ impl AmpsPtr {
         std::ptr::copy_nonoverlapping(self.ptr.add(src), self.ptr.add(dst), count);
     }
 
-    /// Copies `out.len()` amplitudes starting at `src` into `out`.
+    /// Copies `out.len()` amplitudes starting at `src` into `out`, which
+    /// is fully initialised afterwards.
     #[inline(always)]
-    unsafe fn read_block(self, src: usize, out: &mut [Complex]) {
+    unsafe fn read_block(self, src: usize, out: &mut [MaybeUninit<Complex>]) {
         debug_assert!(src + out.len() <= self.len);
-        std::ptr::copy_nonoverlapping(self.ptr.add(src), out.as_mut_ptr(), out.len());
+        std::ptr::copy_nonoverlapping(self.ptr.add(src), out.as_mut_ptr().cast(), out.len());
     }
 
-    /// Copies `input` into the buffer starting at `dst`.
+    /// Copies `input` into the buffer starting at `dst`. Every element of
+    /// `input` must be initialised.
     #[inline(always)]
-    unsafe fn write_block(self, dst: usize, input: &[Complex]) {
+    unsafe fn write_block(self, dst: usize, input: &[MaybeUninit<Complex>]) {
         debug_assert!(dst + input.len() <= self.len);
-        std::ptr::copy_nonoverlapping(input.as_ptr(), self.ptr.add(dst), input.len());
+        std::ptr::copy_nonoverlapping(input.as_ptr().cast(), self.ptr.add(dst), input.len());
     }
 
     /// Reborrows a sub-range of the buffer as a mutable slice.
@@ -964,22 +928,21 @@ unsafe fn group_permutation(amps: AmpsPtr, base: usize, flat: &[usize], bounds: 
 ///
 /// Long runs are processed in [`PERM_TILE`]-sized tiles so the save-buffer
 /// for the cycle's displaced block stays L1-resident (its traffic beyond
-/// the cache disappears, as does the buffer-sized allocation).
+/// the cache disappears).
 ///
 /// # Safety
 ///
 /// `base + off + count` must be in bounds for every offset in `flat`, the
 /// caller must have exclusive access, and distinct offsets must differ by
 /// at least `count` (guaranteed by the run construction: every target
-/// stride exceeds the trailing free-stride chain). `tmp` must hold
-/// `min(count, PERM_TILE)` elements.
+/// stride exceeds the trailing free-stride chain).
 unsafe fn run_permutation_blocks(
     amps: AmpsPtr,
     base: usize,
     count: usize,
     flat: &[usize],
     bounds: &[usize],
-    tmp: &mut [Complex],
+    tmp: &mut [MaybeUninit<Complex>; PERM_TILE],
 ) {
     let mut start = 0usize;
     for &end in bounds {
@@ -1056,8 +1019,10 @@ unsafe fn run_diagonal_spans(
     }
 }
 
-/// Split-lane scratch for the tiled dense run kernels: `block` gathered
-/// input lanes of up to [`DENSE_TILE`] groups each, plus one output row.
+/// Split-lane scratch for the tiled dense kernel (blocks of more than
+/// [`IN_PLACE_MAX_BLOCK`] amplitudes): `block` gathered input lanes of up
+/// to [`DENSE_TILE`] groups each, plus one output row. Smaller blocks
+/// multiply in place and need none.
 struct RunScratch {
     in_re: Vec<f64>,
     in_im: Vec<f64>,
@@ -1214,8 +1179,9 @@ fn mix_row_scalar(
 /// [`SimdLevel::Avx2`], which requires both `avx2` and `fma` to be present.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::DENSE_TILE;
+    use super::{group_fixed, AmpsPtr, ApplyPlan, DENSE_TILE};
     use core::arch::x86_64::*;
+    use qudit_core::Complex;
 
     /// `out[t] = Σ_c m[c]·in[c][t]` with four f64 lanes per instruction.
     ///
@@ -1282,6 +1248,89 @@ mod avx2 {
         }
     }
 
+    /// The AVX2 body of `dense_in_place`: walks the runs of `plan` over the
+    /// groups `start..end` and multiplies two groups per instruction on the
+    /// interleaved buffer. A vector holds amplitude `c` of groups `g` and
+    /// `g + rs` as `[re, im, re, im]`; row `r` accumulates
+    /// `acc = fma(m.re, a, acc)` then `acc = fma([−m.im, m.im, −m.im, m.im],
+    /// swap(a), acc)` for `c = 0, 1, …` from `+0`, which per lane is the
+    /// tiled kernel's `fmadd(m.re, a.re)`, `fnmadd(m.im, a.im)` (real) and
+    /// `fmadd(m.re, a.im)`, `fmadd(m.im, a.re)` (imaginary). `CONTIG`
+    /// (`rs == 1`) loads the pair as one vector; otherwise as two halves.
+    ///
+    /// The broadcast matrix is built once per call, not per run (the runs
+    /// are walked in here) and not per plan: a plan-held copy is four times
+    /// the size of the matrix, and keeping one on every small dense plan
+    /// raised the peak RSS of perfbench's `fig11-sweep` by 6–8%.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2+FMA are available, plus the contract of
+    /// `dense_in_place`; `CONTIG` must equal `plan.run_stride == 1`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn dense_runs<const B: usize, const CONTIG: bool>(
+        plan: &ApplyPlan,
+        amps: AmpsPtr,
+        start: usize,
+        end: usize,
+        offsets: &[usize; B],
+        matrix: &[Complex],
+    ) {
+        debug_assert_eq!(CONTIG, plan.run_stride == 1);
+        let mut m_re = [[_mm256_setzero_pd(); B]; B];
+        let mut m_im = [[_mm256_setzero_pd(); B]; B];
+        for (r, row) in matrix.chunks_exact(B).take(B).enumerate() {
+            for (c, m) in row.iter().enumerate() {
+                m_re[r][c] = _mm256_set1_pd(m.re);
+                m_im[r][c] = _mm256_setr_pd(-m.im, m.im, -m.im, m.im);
+            }
+        }
+        let rs = plan.run_stride;
+        let raw = amps.ptr.cast::<f64>();
+        let offsets = *offsets;
+        // `move`: the captures live in the closure itself, which the
+        // compiler knows the amplitude stores cannot alias.
+        plan.for_each_run(start, end, move |base, count| {
+            let fused = count - count % 4;
+            let mut g = base;
+            let mut t = 0usize;
+            while t < fused {
+                debug_assert!(g + rs + offsets[B - 1] < amps.len);
+                let mut a = [_mm256_setzero_pd(); B];
+                let mut sw = [_mm256_setzero_pd(); B];
+                for c in 0..B {
+                    let p = raw.add(2 * (g + offsets[c]));
+                    a[c] = if CONTIG {
+                        _mm256_loadu_pd(p)
+                    } else {
+                        _mm256_loadu2_m128d(p.add(2 * rs), p)
+                    };
+                    sw[c] = _mm256_permute_pd::<0b0101>(a[c]);
+                }
+                for (r, &off) in offsets.iter().enumerate() {
+                    let mut acc = _mm256_setzero_pd();
+                    for c in 0..B {
+                        acc = _mm256_fmadd_pd(m_re[r][c], a[c], acc);
+                        acc = _mm256_fmadd_pd(m_im[r][c], sw[c], acc);
+                    }
+                    let p = raw.add(2 * (g + off));
+                    if CONTIG {
+                        _mm256_storeu_pd(p, acc);
+                    } else {
+                        _mm256_storeu2_m128d(p.add(2 * rs), p, acc);
+                    }
+                }
+                g += 2 * rs;
+                t += 2;
+            }
+            while t < count {
+                group_fixed::<B>(amps, g, &offsets, matrix);
+                g += rs;
+                t += 1;
+            }
+        });
+    }
+
     /// Scales `count` interleaved complex amplitudes at `ptr` by
     /// `(dre, dim)` in place. Uses mul/sub/add only (no FMA) so the result
     /// is bit-identical to the scalar diagonal kernel.
@@ -1289,15 +1338,10 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller must ensure AVX2 is available and `ptr[..count]` is an
-    /// exclusively owned, in-bounds run of `qudit_core::Complex` (two f64s,
-    /// re then im).
+    /// exclusively owned, in-bounds run of [`Complex`] (two f64s, re then
+    /// im — its `#[repr(C)]` layout).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_span(
-        ptr: *mut qudit_core::Complex,
-        count: usize,
-        dre: f64,
-        dim: f64,
-    ) {
+    pub(super) unsafe fn scale_span(ptr: *mut Complex, count: usize, dre: f64, dim: f64) {
         let raw = ptr as *mut f64;
         let vre = _mm256_set1_pd(dre);
         let vim = _mm256_set1_pd(dim);
@@ -1316,60 +1360,30 @@ mod avx2 {
         }
         while t < count {
             let a = *ptr.add(t);
-            *ptr.add(t) =
-                qudit_core::Complex::new(dre * a.re - dim * a.im, dre * a.im + dim * a.re);
+            *ptr.add(t) = Complex::new(dre * a.re - dim * a.im, dre * a.im + dim * a.re);
             t += 1;
         }
     }
 }
 
-/// Monomorphic single-target kernel: gathers `D` amplitudes at `stride`,
-/// multiplies by the dense `D×D` matrix from stack scratch, scatters back.
-///
-/// # Safety
-///
-/// `base + j*stride` must be in bounds for `j < D` and exclusively owned by
-/// the caller; `matrix` must hold `D*D` entries.
-unsafe fn group_k1_fixed<const D: usize>(
-    amps: AmpsPtr,
-    base: usize,
-    stride: usize,
-    matrix: &[Complex],
-) {
-    debug_assert_eq!(matrix.len(), D * D);
-    let mut local = [Complex::ZERO; D];
-    let mut idx = base;
-    for slot in &mut local {
-        *slot = amps.get(idx);
-        idx += stride;
-    }
-    let mut out = base;
-    for r in 0..D {
-        let row = &matrix[r * D..(r + 1) * D];
-        let mut acc = Complex::ZERO;
-        for c in 0..D {
-            acc += row[c] * local[c];
-        }
-        amps.set(out, acc);
-        out += stride;
-    }
-}
-
-/// Monomorphic two-target kernel (`B = D*D`): gathers through the offsets
-/// table into stack scratch, then a dense `B×B` multiply.
+/// Monomorphic per-group dense kernel over a block of `B` amplitudes:
+/// loads them through the offsets table into stack scratch, then a dense
+/// `B×B` multiply with the scalar expression
+/// `acc += (m.re·a.re − m.im·a.im, m.re·a.im + m.im·a.re)` in ascending
+/// column order — the tiled kernel's scalar arithmetic, so the two agree
+/// bit for bit.
 ///
 /// # Safety
 ///
 /// `base + offsets[b]` must be in bounds and exclusively owned for
-/// `b < B`; `matrix` must hold `B*B` entries; `offsets` must hold `B`.
-unsafe fn group_k2_fixed<const D: usize, const B: usize>(
+/// `b < B`; `matrix` must hold `B*B` entries.
+#[inline(always)]
+unsafe fn group_fixed<const B: usize>(
     amps: AmpsPtr,
     base: usize,
-    offsets: &[usize],
+    offsets: &[usize; B],
     matrix: &[Complex],
 ) {
-    debug_assert_eq!(D * D, B);
-    debug_assert_eq!(offsets.len(), B);
     debug_assert_eq!(matrix.len(), B * B);
     let mut local = [Complex::ZERO; B];
     for b in 0..B {
@@ -1383,6 +1397,61 @@ unsafe fn group_k2_fixed<const D: usize, const B: usize>(
         }
         amps.set(base + offsets[r], acc);
     }
+}
+
+/// In-place dense kernel for blocks of `B ≤ 4` amplitudes, over the groups
+/// `start..end` of `plan`.
+///
+/// Each group's amplitudes are read once and all `B` rows are written
+/// back from registers: no scratch, no gather into lanes. The arithmetic
+/// is the tiled kernel's, group for group, so the two agree bit for bit:
+///
+/// * at [`SimdLevel::Avx2`], within every run that
+///   [`ApplyPlan::for_each_run`] emits, the first `count − count % 4`
+///   groups take the tiled kernel's FMA chain (the 4-lane blocks of its
+///   tiles; [`DENSE_TILE`] is a multiple of 4) and the last `count % 4`
+///   take the scalar expression of [`group_fixed`];
+/// * at [`SimdLevel::Scalar`] every group takes the scalar expression.
+///
+/// Zero matrix entries are multiplied, not skipped: every accumulator
+/// starts at `+0`, and adding `±0` leaves `+0` and every nonzero value
+/// unchanged, so for finite amplitudes the skip the tiled kernel makes
+/// cannot change a bit (only an accumulator rounded to `−0`, from a product
+/// below the smallest subnormal, could tell the two apart).
+///
+/// # Safety
+///
+/// `amps` must be `plan`'s whole buffer (or a worker's chunk of it) with
+/// exclusive access to the groups `start..end`; `matrix` must hold `B*B`
+/// entries.
+unsafe fn dense_in_place<const B: usize>(
+    plan: &ApplyPlan,
+    amps: AmpsPtr,
+    start: usize,
+    end: usize,
+    matrix: &[Complex],
+    simd: SimdLevel,
+) {
+    let offsets: &[usize; B] = plan.offsets[..].try_into().expect("B offsets");
+    #[cfg(target_arch = "x86_64")]
+    if simd == SimdLevel::Avx2 {
+        if plan.run_stride == 1 {
+            avx2::dense_runs::<B, true>(plan, amps, start, end, offsets, matrix);
+        } else {
+            avx2::dense_runs::<B, false>(plan, amps, start, end, offsets, matrix);
+        }
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    let rs = plan.run_stride;
+    plan.for_each_run(start, end, |base, count| {
+        let mut b = base;
+        for _ in 0..count {
+            group_fixed::<B>(amps, b, offsets, matrix);
+            b += rs;
+        }
+    });
 }
 
 /// Generic gather–scatter kernel for `k ≥ 3` targets (or unusual
@@ -1691,6 +1760,203 @@ mod tests {
         assert!(k1_small.work_estimate() < PAR_MIN_WORK);
     }
 
+    /// A per-group single-target reference kernel: gathers `D` amplitudes
+    /// at `stride`, multiplies by the `D×D` matrix with [`Complex`]
+    /// arithmetic (the scalar expression) and scatters back, with none of
+    /// the plan's offsets or run machinery.
+    unsafe fn group_k1_fixed<const D: usize>(
+        amps: AmpsPtr,
+        base: usize,
+        stride: usize,
+        matrix: &[Complex],
+    ) {
+        let mut local = [Complex::ZERO; D];
+        let mut idx = base;
+        for slot in &mut local {
+            *slot = amps.get(idx);
+            idx += stride;
+        }
+        let mut out = base;
+        for r in 0..D {
+            let mut acc = Complex::ZERO;
+            for c in 0..D {
+                acc += matrix[r * D + c] * local[c];
+            }
+            amps.set(out, acc);
+            out += stride;
+        }
+    }
+
+    /// Applies the single-target `matrix` at `stride` to every group of
+    /// `plan` through [`group_k1_fixed`].
+    fn apply_k1_reference(
+        plan: &ApplyPlan,
+        amps: &mut [Complex],
+        stride: usize,
+        matrix: &[Complex],
+    ) {
+        let ptr = AmpsPtr::new(amps);
+        let rs = plan.run_stride;
+        plan.for_each_run(0, plan.groups, |base, count| {
+            for t in 0..count {
+                let b = base + t * rs;
+                // SAFETY: `amps` is the plan's whole buffer, and the groups
+                // the plan's runs enumerate are in bounds and disjoint.
+                unsafe {
+                    match plan.dim {
+                        2 => group_k1_fixed::<2>(ptr, b, stride, matrix),
+                        3 => group_k1_fixed::<3>(ptr, b, stride, matrix),
+                        4 => group_k1_fixed::<4>(ptr, b, stride, matrix),
+                        d => unreachable!("no reference for d = {d}"),
+                    }
+                }
+            }
+        });
+    }
+
+    /// `plan` with its in-place dense kernel swapped for the tiled one (and
+    /// the per-group gather–scatter kernel on short runs): the oracle the
+    /// in-place kernel must match bit for bit.
+    fn tiled_twin(plan: &ApplyPlan) -> ApplyPlan {
+        let PlanKind::DenseInPlace { matrix } = &plan.kind else {
+            panic!("expected an in-place dense plan, got {:?}", plan.kind);
+        };
+        let mut twin = plan.clone();
+        twin.kind = PlanKind::Dense {
+            matrix: matrix.clone(),
+            split: SplitMatrix::of(matrix),
+        };
+        twin
+    }
+
+    /// The SIMD levels this host can execute.
+    fn host_levels() -> Vec<SimdLevel> {
+        let mut levels = vec![SimdLevel::Scalar];
+        if detect_simd() == SimdLevel::Avx2 {
+            levels.push(SimdLevel::Avx2);
+        }
+        levels
+    }
+
+    fn assert_bits_eq(got: &[Complex], want: &[Complex], what: &str) {
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits()),
+                "{what}: amplitude {i} differs: {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    /// Two `b×b` matrices per case: every entry random, and one with a zero
+    /// entry, a purely imaginary one and a purely real one.
+    fn in_place_matrices(b: usize, rng: &mut rand::rngs::StdRng) -> [CMatrix; 2] {
+        let mut dense = CMatrix::zeros(b, b);
+        for r in 0..b {
+            for c in 0..b {
+                dense.set(r, c, qudit_core::complex_gaussian(rng));
+            }
+        }
+        let mut zeros = dense.clone();
+        zeros.set(0, 1, Complex::ZERO);
+        zeros.set(1, 0, Complex::new(0.0, dense.get(1, 0).im));
+        zeros.set(b - 1, b - 1, Complex::real(dense.get(b - 1, b - 1).re));
+        [dense, zeros]
+    }
+
+    /// Checks one in-place plan against its tiled twin at every host SIMD
+    /// level, sequential and forced-parallel, and single-target plans
+    /// against [`group_k1_fixed`] at the scalar level.
+    fn check_in_place(
+        dim: usize,
+        width: usize,
+        matrix: &CMatrix,
+        targets: &[usize],
+        controls: &[(usize, usize)],
+        state: &StateVector,
+    ) {
+        let plan = ApplyPlan::new(dim, width, matrix, targets, controls);
+        let twin = tiled_twin(&plan);
+        let what = format!("d={dim} n={width} targets {targets:?} controls {controls:?}");
+        for simd in host_levels() {
+            for parallel in [false, true] {
+                let mut got = state.clone();
+                plan.apply_forced_simd(&mut got, parallel, simd);
+                let mut want = state.clone();
+                twin.apply_forced_simd(&mut want, parallel, simd);
+                let how = format!("{what} {simd:?} parallel={parallel}");
+                assert_bits_eq(got.amplitudes(), want.amplitudes(), &how);
+                if simd == SimdLevel::Scalar && targets.len() == 1 {
+                    let stride = dim.pow((width - 1 - targets[0]) as u32);
+                    let mut reference = state.clone();
+                    let amps = reference.amplitudes_mut();
+                    apply_k1_reference(&plan, amps, stride, matrix.as_slice());
+                    assert_bits_eq(got.amplitudes(), reference.amplitudes(), &how);
+                }
+            }
+        }
+    }
+
+    /// The control sets of the bit-identity sweep: none, one on the first
+    /// qudit and one on the last (where they do not hit a target).
+    fn control_sets(width: usize, dim: usize, targets: &[usize]) -> Vec<Vec<(usize, usize)>> {
+        let mut sets = vec![vec![]];
+        for q in [0, width - 1] {
+            if width > targets.len() && !targets.contains(&q) {
+                sets.push(vec![(q, dim - 1)]);
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn in_place_single_target_kernel_is_bit_identical_to_the_tiled_kernel() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for dim in 2..=4usize {
+            for width in 1..=7usize {
+                let state = qudit_core::random_state(dim, width, &mut rng).unwrap();
+                for target in 0..width {
+                    for matrix in in_place_matrices(dim, &mut rng) {
+                        for controls in control_sets(width, dim, &[target]) {
+                            check_in_place(dim, width, &matrix, &[target], &controls, &state);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_two_qubit_kernel_is_bit_identical_to_the_tiled_kernel() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for width in 2..=7usize {
+            let state = qudit_core::random_state(2, width, &mut rng).unwrap();
+            for a in 0..width {
+                for b in (0..width).filter(|&b| b != a) {
+                    for matrix in in_place_matrices(4, &mut rng) {
+                        for controls in control_sets(width, 2, &[a, b]) {
+                            check_in_place(2, width, &matrix, &[a, b], &controls, &state);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_blocks_above_four_amplitudes_stay_tiled() {
+        let h = gates::qutrit::h3();
+        let two = gates::controlled_matrix(3, 1, &h);
+        let plan = ApplyPlan::for_matrix(3, 4, &two, &[1, 2]);
+        assert!(matches!(plan.kind, PlanKind::Dense { .. }));
+        assert!(matches!(
+            ApplyPlan::for_matrix(3, 4, &h, &[1]).kind,
+            PlanKind::DenseInPlace { .. }
+        ));
+    }
+
     #[test]
     fn simd_level_is_stable_within_a_process() {
         assert_eq!(simd_level(), simd_level());
@@ -1700,6 +1966,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_target() {
         ApplyPlan::for_matrix(3, 2, &gates::qutrit::x01(), &[5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "addressable")]
+    fn rejects_a_register_whose_length_overflows() {
+        // 3^41 > 2^64: the odometer's fixed digit array relies on this check.
+        ApplyPlan::for_matrix(3, 41, &gates::qutrit::h3(), &[0]);
     }
 
     #[test]

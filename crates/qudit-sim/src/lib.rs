@@ -21,9 +21,12 @@
 //!    inner loop — and runs one of four kernels per group:
 //!    * a **permutation** kernel for classical gates (`X`, `X±1`, level
 //!      swaps): precomputed index cycles, zero complex arithmetic;
-//!    * monomorphic **k = 1** / **k = 2** dense kernels (stack scratch,
-//!      branch-free multiply) for the dominant one- and two-target gates;
-//!    * a generic **gather–scatter** fallback for `k ≥ 3`.
+//!    * a **diagonal** kernel for phase-type gates;
+//!    * an **in-place dense** kernel for blocks of at most four
+//!      amplitudes (`k = 1` at `d ≤ 4`, `k = 2` at `d = 2`): each group is
+//!      loaded once and all its rows accumulate in registers;
+//!    * a **tiled dense** kernel for larger blocks (split re/im scratch
+//!      lanes over long runs, per-group gather–scatter over short ones).
 //!
 //!    Above [`kernel::PAR_MIN_WORK`] estimated amplitude-operations the
 //!    groups are chunked across rayon workers; groups never share an

@@ -4,8 +4,9 @@
 //! control configurations, for `d ∈ {2, 3, 4}`.
 //!
 //! Paths covered:
-//! * dense `k = 1` (monomorphic d = 2, 3, 4 kernels),
-//! * dense `k = 2` (monomorphic d = 2, 3 kernels and the dynamic fallback),
+//! * dense `k = 1` (the in-place kernel at d = 2, 3, 4),
+//! * dense `k = 2` (the in-place kernel at d = 2, the tiled and per-group
+//!   kernels at d = 3, 4),
 //! * generic gather–scatter (`k = 3`),
 //! * the sparse permutation fast path (classical gates, with controls),
 //! * the parallel dispatch (both the contiguous-chunk and the strided
@@ -135,8 +136,8 @@ fn check_equivalence(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Dense single-target gates: exercises the monomorphic d = 2, 3, 4
-    /// k = 1 kernels on every target position (contiguous and strided).
+    /// Dense single-target gates: exercises the in-place d = 2, 3, 4
+    /// kernel on every target position (contiguous and strided).
     #[test]
     fn dense_k1_matches_reference(seed in 0u64..1_000_000, dim in 2usize..5) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -147,8 +148,8 @@ proptest! {
         check_equivalence(dim, width, &u, &[target], &[], &state, "dense k=1");
     }
 
-    /// Dense two-target gates: the monomorphic d = 2, 3 k = 2 kernels plus
-    /// the dynamic fallback at d = 4.
+    /// Dense two-target gates: the in-place kernel at d = 2, the tiled and
+    /// per-group kernels at d = 3, 4.
     #[test]
     fn dense_k2_matches_reference(seed in 0u64..1_000_000, dim in 2usize..5) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -282,8 +283,8 @@ proptest! {
     /// Against op-at-a-time plan application a classical-only run must be
     /// **bit-identical** (permutation folding moves amplitudes without any
     /// arithmetic); mixed runs must agree within 1e-12 — a span plan's
-    /// shorter runs may select a different dense micro-kernel (tiled
-    /// split-lane vs per-group), which changes rounding order only.
+    /// shorter runs may send a dense group through the scalar tail instead
+    /// of the FMA chain, which changes rounding only.
     #[test]
     fn segmented_replay_matches_reference(seed in 0u64..1_000_000, dim in 2usize..4) {
         let mut rng = StdRng::seed_from_u64(seed);
